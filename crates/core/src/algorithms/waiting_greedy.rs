@@ -19,7 +19,11 @@ use crate::knowledge::MeetTimeOracle;
 use crate::sequence::InteractionSequence;
 
 /// The Waiting Greedy algorithm with horizon parameter `τ`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Its oracle may be eager ([`MeetTimeOracle::new`]) or on demand
+/// ([`MeetTimeOracle::on_demand`]): the decisions are the same, and an
+/// on-demand oracle reads only the prefix of the future they need.
+#[derive(Debug)]
 pub struct WaitingGreedy {
     tau: Time,
     oracle: MeetTimeOracle,
@@ -47,6 +51,11 @@ impl WaitingGreedy {
     pub fn tau(&self) -> Time {
         self.tau
     }
+
+    /// The meetTime oracle the decisions read.
+    pub fn oracle(&self) -> &MeetTimeOracle {
+        &self.oracle
+    }
 }
 
 impl DodaAlgorithm for WaitingGreedy {
@@ -59,19 +68,14 @@ impl DodaAlgorithm for WaitingGreedy {
             return Decision::Idle;
         }
         let (u1, u2) = ctx.interaction.pair();
-        let m1 = self.oracle.meet_time(u1, ctx.time);
-        let m2 = self.oracle.meet_time(u2, ctx.time);
         // The node with the greatest meetTime transmits, provided that
-        // meetTime exceeds τ; the other node is the receiver.
-        if m1 <= m2 && m2.exceeds(self.tau) {
+        // meetTime exceeds τ; the other node is the receiver. One ordered
+        // query settles both comparisons.
+        let order = self.oracle.order(u1, u2, ctx.time, self.tau);
+        if order.second_exceeds {
             Decision::Transmit {
-                sender: u2,
-                receiver: u1,
-            }
-        } else if m1 > m2 && m1.exceeds(self.tau) {
-            Decision::Transmit {
-                sender: u1,
-                receiver: u2,
+                sender: order.second,
+                receiver: order.first,
             }
         } else {
             Decision::Idle

@@ -243,7 +243,7 @@ pub use interaction::{Interaction, Time, TimedInteraction};
 pub use lane::{LaneAlgorithm, LaneEngine, LaneRunStats, MAX_LANES};
 pub use outcome::{Completion, ExecutionOutcome, FaultTally, Transmission};
 pub use round::{FlattenedRounds, Matching, MatchingSequence, RoundSource, SingletonRounds};
-pub use sequence::{InteractionSequence, InteractionSource, StepEvent};
+pub use sequence::{CommittedStream, InteractionSequence, InteractionSource, StepEvent};
 
 /// Commonly used items, for glob import in examples and benchmarks.
 pub mod prelude {

@@ -2,8 +2,11 @@
 //!
 //! A finite [`InteractionSequence`] is the concrete object most experiments
 //! manipulate: the oblivious adversary fixes one before execution, the
-//! randomized adversary can be materialised into one, and all knowledge
-//! oracles (meetTime, futures, underlying graph) are derived from one.
+//! randomized adversary can be materialised into one, and the knowledge
+//! oracles that need the whole future (futures, underlying graph, full
+//! sequence) are derived from one. A [`CommittedStream`] is the same
+//! finite future pulled live instead of stored: the meetTime oracle scans
+//! one ahead on demand.
 //!
 //! The [`InteractionSource`] trait is the streaming view used by the
 //! execution engine: it produces the interaction of each time step, and is
@@ -281,14 +284,15 @@ impl InteractionSequence {
     /// Materialises the first `len` interactions of `source` into a fresh
     /// sequence (shorter if the source is exhausted first).
     ///
-    /// This is the one sanctioned bridge from the streaming world to the
-    /// materialised one: knowledge oracles ([`crate::knowledge`]) need a
-    /// concrete sequence, and the oblivious/randomized adversaries build
-    /// theirs through this helper. The source is driven with a
-    /// *materialisation view* in which every node owns data and the sink is
-    /// node 0 — oblivious sources ignore the view entirely, and
-    /// materialising an adaptive source captures the stream it would play
-    /// against an algorithm that never transmits.
+    /// This is the bridge from the streaming world to the materialised
+    /// one: the oracles that need the whole future ([`crate::knowledge`])
+    /// read a concrete sequence, and the oblivious/randomized adversaries
+    /// build theirs through this helper. It records exactly the source's
+    /// [`CommittedStream`]: the source is driven with a *materialisation
+    /// view* in which every node owns data and the sink is node 0 —
+    /// oblivious sources ignore the view entirely, and materialising an
+    /// adaptive source captures the stream it would play against an
+    /// algorithm that never transmits.
     ///
     /// # Example
     ///
@@ -314,7 +318,19 @@ impl InteractionSequence {
     /// `len` interactions, reusing the existing allocation. Sweep workers
     /// use this to refill one scratch buffer across many trials.
     ///
+    /// Oblivious sources are pulled in batches of 8192 interactions
+    /// through the devirtualised
+    /// [`InteractionSource::next_interaction_batch`], adaptive ones one
+    /// step at a time; either way every interaction is range-checked as
+    /// [`push`] checks it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the source emits an interaction involving a node
+    /// `>= source.node_count()`.
+    ///
     /// [`materialize`]: InteractionSequence::materialize
+    /// [`push`]: InteractionSequence::push
     pub fn fill_from<S>(&mut self, source: &mut S, len: usize)
     where
         S: InteractionSource + ?Sized,
@@ -322,15 +338,18 @@ impl InteractionSequence {
         let n = source.node_count();
         self.reset(n);
         self.reserve(len);
-        let owns = vec![true; n];
-        let view = AdversaryView {
-            owns_data: &owns,
-            sink: NodeId(0),
-        };
-        for t in 0..len {
-            match source.next_interaction(t as Time, &view) {
-                Some(i) => self.push(i),
-                None => break,
+        let mut stream = CommittedStream::new(source, len);
+        loop {
+            let start = self.interactions.len();
+            let pulled = stream.pull(&mut self.interactions, PULL_CHUNK);
+            for &interaction in &self.interactions[start..] {
+                assert!(
+                    interaction.max().index() < n,
+                    "interaction {interaction} out of range for {n} nodes"
+                );
+            }
+            if pulled < PULL_CHUNK {
+                break;
             }
         }
     }
@@ -577,6 +596,119 @@ impl InteractionSource for SequenceStream<'_> {
     }
 }
 
+/// Interactions per batch when a [`CommittedStream`] is drained in bulk:
+/// [`InteractionSequence::fill_from`] and the on-demand meetTime oracle
+/// ([`crate::knowledge::MeetTimeOracle::on_demand`]) pull this many at a
+/// time. Large enough to amortise the indirect call per batch, small
+/// enough that an on-demand oracle reads little past the prefix its
+/// queries need.
+pub(crate) const PULL_CHUNK: usize = 8192;
+
+/// A source's *committed* stream: the first `len` interactions it plays
+/// against the materialisation view (every node owns data, the sink is
+/// node 0), pulled live.
+///
+/// This is exactly what materialising `len` steps of the source records
+/// ([`InteractionSequence::fill_from`] drains one), so a second seeded
+/// instance of the same source replays a materialised sequence without
+/// storing it. The wrapped source always sees the materialisation view and
+/// its own clock (`0, 1, 2, …`, one tick per interaction pulled), whatever
+/// view and time the caller passes — which makes the stream itself
+/// oblivious, and keeps it aligned when a fault layer consumes extra
+/// steps around it.
+pub struct CommittedStream<S> {
+    source: S,
+    len: usize,
+    pulled: usize,
+    owns: Vec<bool>,
+}
+
+impl<S: InteractionSource> CommittedStream<S> {
+    /// Commits `source` to its first `len` interactions.
+    pub fn new(source: S, len: usize) -> Self {
+        let owns = vec![true; source.node_count()];
+        CommittedStream {
+            source,
+            len,
+            pulled: 0,
+            owns,
+        }
+    }
+
+    /// `true` once the stream has ended: `len` interactions were pulled,
+    /// or the source ran dry first.
+    pub(crate) fn is_exhausted(&self) -> bool {
+        self.pulled == self.len
+    }
+
+    /// Appends up to `max` further interactions to `out` and returns how
+    /// many it appended; fewer than `max` means the stream is exhausted.
+    ///
+    /// Oblivious sources are pulled through the devirtualised
+    /// [`InteractionSource::next_interaction_batch`]; the others one
+    /// [`InteractionSource::next_interaction`] per step.
+    pub(crate) fn pull(&mut self, out: &mut Vec<Interaction>, max: usize) -> usize {
+        let max = max.min(self.len - self.pulled);
+        let before = out.len();
+        let view = AdversaryView {
+            owns_data: &self.owns,
+            sink: NodeId(0),
+        };
+        let t0 = self.pulled as Time;
+        if self.source.is_oblivious() {
+            self.source.next_interaction_batch(t0, &view, out, max);
+        } else {
+            for t in t0..t0 + max as Time {
+                match self.source.next_interaction(t, &view) {
+                    Some(interaction) => out.push(interaction),
+                    None => break,
+                }
+            }
+        }
+        let pulled = out.len() - before;
+        self.pulled += pulled;
+        if pulled < max {
+            self.len = self.pulled;
+        }
+        pulled
+    }
+}
+
+impl<S> std::fmt::Debug for CommittedStream<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CommittedStream")
+            .field("len", &self.len)
+            .field("pulled", &self.pulled)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<S: InteractionSource> InteractionSource for CommittedStream<S> {
+    fn node_count(&self) -> usize {
+        self.owns.len()
+    }
+
+    fn next_interaction(&mut self, _t: Time, _view: &AdversaryView<'_>) -> Option<Interaction> {
+        if self.is_exhausted() {
+            return None;
+        }
+        let view = AdversaryView {
+            owns_data: &self.owns,
+            sink: NodeId(0),
+        };
+        let next = self.source.next_interaction(self.pulled as Time, &view);
+        match next {
+            Some(_) => self.pulled += 1,
+            None => self.len = self.pulled,
+        }
+        next
+    }
+
+    fn is_oblivious(&self) -> bool {
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -748,6 +880,65 @@ mod tests {
         let cycled = InteractionSequence::materialize(&mut seq.stream(true), 10);
         assert_eq!(cycled.len(), 10);
         assert_eq!(cycled.get(4), seq.get(0));
+    }
+
+    /// Reports three nodes but emits node 5 at time 2.
+    struct OutOfRange {
+        oblivious: bool,
+    }
+
+    impl InteractionSource for OutOfRange {
+        fn node_count(&self) -> usize {
+            3
+        }
+
+        fn next_interaction(&mut self, t: Time, _view: &AdversaryView<'_>) -> Option<Interaction> {
+            let far = if t == 2 { 5 } else { 2 };
+            Some(Interaction::new(NodeId(1), NodeId(far)))
+        }
+
+        fn is_oblivious(&self) -> bool {
+            self.oblivious
+        }
+    }
+
+    #[test]
+    fn fill_from_range_checks_batched_and_per_step_pulls() {
+        for oblivious in [true, false] {
+            let result = std::panic::catch_unwind(|| {
+                InteractionSequence::materialize(&mut OutOfRange { oblivious }, 4)
+            });
+            assert!(result.is_err(), "oblivious = {oblivious}");
+            let prefix = InteractionSequence::materialize(&mut OutOfRange { oblivious }, 2);
+            assert_eq!(prefix.len(), 2);
+        }
+    }
+
+    #[test]
+    fn committed_stream_is_capped_and_matches_materialize() {
+        let seq = seq123();
+        let horizon = 10;
+        let committed = InteractionSequence::materialize(&mut seq.stream(true), horizon);
+        // Per-step pulls ignore the caller's view and clock.
+        let mut live = CommittedStream::new(seq.stream(true), horizon);
+        let owns = vec![false; 4];
+        let view = AdversaryView {
+            owns_data: &owns,
+            sink: NodeId(3),
+        };
+        for t in 0..horizon as Time {
+            assert_eq!(live.next_interaction(t + 100, &view), committed.get(t));
+        }
+        assert!(live.is_exhausted());
+        assert_eq!(live.next_interaction(0, &view), None);
+        // Batched pulls stop at the end of a finite source.
+        let mut short = CommittedStream::new(seq.stream(false), horizon);
+        let mut out = Vec::new();
+        assert_eq!(short.pull(&mut out, 3), 3);
+        assert!(!short.is_exhausted());
+        assert_eq!(short.pull(&mut out, 3), 1);
+        assert!(short.is_exhausted());
+        assert_eq!(InteractionSequence::from_interactions(4, out), seq);
     }
 
     #[test]

@@ -118,7 +118,7 @@ proptest! {
         node in 0usize..5,
         t in 0u64..45,
     ) {
-        let oracle = MeetTimeOracle::new(&seq, SINK);
+        let mut oracle = MeetTimeOracle::new(&seq, SINK);
         let node = NodeId(node);
         let expected = if node == SINK {
             MeetTime::At(t)
@@ -168,6 +168,60 @@ proptest! {
         if let Some(wt) = w.termination_time {
             prop_assert!(g.terminated());
             prop_assert!(g.termination_time.unwrap() <= wt);
+        }
+    }
+}
+
+/// A seeded random sequence over `n` nodes, long enough to span several
+/// lookahead chunks, in which node `n - 1` never meets the sink.
+fn long_sequence(n: usize, len: usize, seed: u64) -> InteractionSequence {
+    use rand::Rng;
+    let mut rng = doda_stats::rng::seeded_rng(seed);
+    let mut seq = InteractionSequence::new(n);
+    while seq.len() < len {
+        let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if a != b && !(a.min(b) == SINK.index() && a.max(b) == n - 1) {
+            seq.push(Interaction::new(NodeId(a), NodeId(b)));
+        }
+    }
+    seq
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The on-demand oracle's ordered pair query gives exactly Waiting
+    /// Greedy's decision evaluated on the eager oracle's `meet_time`, for
+    /// arbitrary pairs and times — the sink, out-of-range nodes and nodes
+    /// that never meet the sink included — and never reads past its
+    /// horizon.
+    #[test]
+    fn on_demand_pair_order_matches_the_eager_rule(
+        seed in 0u64..1_000_000,
+        n in 3usize..8,
+        len in 0usize..30_000,
+        queries in prop::collection::vec((0usize..9, 0usize..9, 0u64..31_000, 0u64..31_000), 1..40),
+    ) {
+        let seq = long_sequence(n, len, seed);
+        let mut eager = MeetTimeOracle::new(&seq, SINK);
+        let mut lazy = MeetTimeOracle::on_demand(Box::new(seq.source(false)), len, SINK);
+        for (u1, u2, t, tau) in queries {
+            let (u1, u2) = (NodeId(u1), NodeId(u2));
+            let (m1, m2) = (eager.meet_time(u1, t), eager.meet_time(u2, t));
+            let expected = if m1 <= m2 && m2.exceeds(tau) {
+                Some((u2, u1))
+            } else if m1 > m2 && m1.exceeds(tau) {
+                Some((u1, u2))
+            } else {
+                None
+            };
+            let order = lazy.order(u1, u2, t, tau);
+            prop_assert_eq!(
+                order.second_exceeds.then_some((order.second, order.first)),
+                expected,
+                "pair ({}, {}) at t = {}, tau = {}", u1, u2, t, tau
+            );
+            prop_assert!(lazy.scanned() <= len);
         }
     }
 }

@@ -11,16 +11,20 @@
 //!   [`AlgorithmSpec::instantiate_online`] and run **streamed** — the
 //!   engine pulls interactions straight from the adversary in `O(n)`
 //!   memory at any horizon;
-//! * every other requirement forces the sweep to **materialise** the
-//!   adversary's sequence first ([`AlgorithmSpec::instantiate`]), because
-//!   the oracles (`meetTime`, underlying graph, futures, full sequence)
-//!   are functions of the future.
+//! * every other requirement runs on the sweep's **materialised** path,
+//!   because the oracles (`meetTime`, underlying graph, futures, full
+//!   sequence) are functions of the future. The adversary commits to a
+//!   finite horizon; [`KnowledgeRequirement::MeetTime`] builds its oracle
+//!   on demand from a second instance of the seeded source
+//!   ([`AlgorithmSpec::instantiate_on_demand`]), reading only the prefix
+//!   its decisions need, and the others materialise the whole horizon
+//!   first ([`AlgorithmSpec::instantiate`]).
 
 use doda_core::algorithms::{
     FutureBroadcast, Gathering, OfflineOptimal, SpanningTreeAggregation, Waiting, WaitingGreedy,
 };
 use doda_core::knowledge::{FullKnowledge, MeetTimeOracle};
-use doda_core::{DodaAlgorithm, InteractionSequence, Time};
+use doda_core::{DodaAlgorithm, InteractionSequence, InteractionSource, Time};
 use doda_graph::NodeId;
 
 /// The knowledge class an algorithm draws on — and therefore whether a
@@ -35,7 +39,8 @@ pub enum KnowledgeRequirement {
     /// Decides from the current interaction alone: streams in `O(n)`
     /// memory against any adversary, including adaptive ones.
     None,
-    /// Needs the `meetTime` oracle (next meeting with the sink).
+    /// Needs the `meetTime` oracle (next meeting with the sink), built on
+    /// demand over the committed stream.
     MeetTime,
     /// Needs the underlying graph `G̅` of the whole sequence.
     UnderlyingGraph,
@@ -46,8 +51,10 @@ pub enum KnowledgeRequirement {
 }
 
 impl KnowledgeRequirement {
-    /// `true` iff this requirement can only be satisfied by materialising
-    /// the adversary's sequence up front.
+    /// `true` iff this requirement needs the adversary to commit to a
+    /// finite horizon before execution: the sweep's materialised path.
+    /// `MeetTime` builds its oracle on demand from that committed stream;
+    /// the other requirements materialise all of it up front.
     pub fn requires_materialization(self) -> bool {
         self != KnowledgeRequirement::None
     }
@@ -173,6 +180,34 @@ impl AlgorithmSpec {
         }
     }
 
+    /// Instantiates the algorithm against the first `horizon` interactions
+    /// of `source`'s committed stream ([`doda_core::CommittedStream`]),
+    /// building its knowledge on demand as decisions query it.
+    ///
+    /// Returns `None` unless the spec requires
+    /// [`KnowledgeRequirement::MeetTime`]: the other oracles need the
+    /// whole future and go through [`AlgorithmSpec::instantiate`]. Given a
+    /// second seeded instance of the source the execution plays, the
+    /// algorithm decides exactly as [`AlgorithmSpec::instantiate`] over the
+    /// materialised sequence would.
+    pub fn instantiate_on_demand(
+        &self,
+        source: Box<dyn InteractionSource + Send>,
+        horizon: usize,
+        sink: NodeId,
+    ) -> Option<Box<dyn DodaAlgorithm>> {
+        match self {
+            AlgorithmSpec::WaitingGreedy { tau } => {
+                let tau = tau.unwrap_or_else(|| {
+                    doda_stats::harmonic::waiting_greedy_tau(source.node_count())
+                });
+                let oracle = MeetTimeOracle::on_demand(source, horizon, sink);
+                Some(Box::new(WaitingGreedy::new(tau, oracle)))
+            }
+            _ => None,
+        }
+    }
+
     /// Instantiates the algorithm for a concrete sequence and sink,
     /// building whatever knowledge oracles it needs.
     ///
@@ -286,5 +321,21 @@ mod tests {
         }
         assert!(!KnowledgeRequirement::None.requires_materialization());
         assert!(KnowledgeRequirement::MeetTime.requires_materialization());
+    }
+
+    #[test]
+    fn exactly_the_meet_time_specs_instantiate_on_demand() {
+        let workload = UniformWorkload::new(8);
+        for spec in AlgorithmSpec::all() {
+            let algo = spec.instantiate_on_demand(workload.source(1), 600, NodeId(0));
+            assert_eq!(
+                algo.is_some(),
+                spec.knowledge_requirement() == KnowledgeRequirement::MeetTime,
+                "{spec}"
+            );
+            if let Some(algo) = algo {
+                assert_eq!(algo.name(), spec.label());
+            }
+        }
     }
 }

@@ -29,7 +29,7 @@
 //!
 //! | tier | what runs | when [`ExecutionTier::Auto`] picks it |
 //! |------|-----------|---------------------------------------|
-//! | materialised scalar | [`TrialRunner::run`] over a per-worker scratch sequence | the spec's oracles need the future |
+//! | materialised scalar | [`TrialRunner::run_committed_with`]: the horizon materialised into a per-worker scratch sequence, or for `meetTime` specs the source played live with the oracle built on demand | the spec's oracles need the future |
 //! | streamed scalar | [`TrialRunner::run_streamed`], `O(n)` memory | a fault plan is present (faults are a scalar-path feature), or no faster tier applies |
 //! | native rounds | [`TrialRunner::run_rounds`], one matching per round | the scenario is round-based, fault-free, spec knowledge-free |
 //! | **lanes** | [`TrialRunner::run_lane_batch`]: up to 64 trials in lockstep through bit-lane state | the spec has a lane kernel ([`AlgorithmSpec::lane_algorithm`]) and the trials are fault-free and pairwise |
@@ -57,8 +57,8 @@ use doda_stats::rng::SeedSequence;
 use doda_workloads::Workload;
 
 use crate::datum::{
-    AggregateKind, CountFamily, DatumFamily, DistinctFamily, MaxFamily, MinFamily, QuantileFamily,
-    SumFamily,
+    AggregateKind, CountFamily, DatumFamily, DistinctFamily, ExactOrigins, MaxFamily, MinFamily,
+    QuantileFamily, SumFamily,
 };
 use crate::runner::{shard, summarize, BatchConfig, BatchResult};
 use crate::scenario::FaultedScenario;
@@ -623,23 +623,16 @@ impl<'a> Sweep<'a> {
         let spec = self.spec;
 
         match self.resolve_scenario_path(&scenario) {
-            Path::Materialized => shard(self.trials, self.parallel, |range| {
-                let mut runner = TrialRunner::new();
-                let mut seq = InteractionSequence::new(n);
-                let mut results = Vec::with_capacity(range.len());
-                for trial in range {
-                    let trial_seed = seeds.seed(trial as u64);
-                    let mut source = scenario.base.source(n, trial_seed);
-                    seq.fill_from(source.as_mut(), horizon);
-                    let trial_config = TrialConfig {
-                        fault: scenario.fault_injection(trial_seed),
-                        byzantine: scenario.byzantine_injection(trial_seed),
-                        ..TrialConfig::default()
-                    };
-                    results.push(runner.run(spec, &seq, &trial_config));
-                }
-                results
-            }),
+            Path::Materialized => self.run_committed_sharded(
+                horizon,
+                &ExactOrigins,
+                |trial_seed| scenario.base.source(n, trial_seed),
+                |trial_seed| TrialConfig {
+                    fault: scenario.fault_injection(trial_seed),
+                    byzantine: scenario.byzantine_injection(trial_seed),
+                    ..TrialConfig::default()
+                },
+            ),
             Path::Streamed => shard(self.trials, self.parallel, |range| {
                 let mut runner = TrialRunner::new();
                 let mut results = Vec::with_capacity(range.len());
@@ -712,21 +705,15 @@ impl<'a> Sweep<'a> {
         let spec = self.spec;
 
         match self.resolve_workload_path() {
-            Path::Materialized => shard(self.trials, self.parallel, |range| {
-                let mut runner = TrialRunner::new();
-                let mut seq = InteractionSequence::new(n);
-                let mut results = Vec::with_capacity(range.len());
-                for trial in range {
-                    let trial_seed = seeds.seed(trial as u64);
-                    workload.fill(&mut seq, horizon, trial_seed);
-                    let trial_config = TrialConfig {
-                        byzantine: self.workload_byzantine_injection(trial_seed),
-                        ..TrialConfig::default()
-                    };
-                    results.push(runner.run(spec, &seq, &trial_config));
-                }
-                results
-            }),
+            Path::Materialized => self.run_committed_sharded(
+                horizon,
+                &ExactOrigins,
+                |trial_seed| workload.source(trial_seed),
+                |trial_seed| TrialConfig {
+                    byzantine: self.workload_byzantine_injection(trial_seed),
+                    ..TrialConfig::default()
+                },
+            ),
             Path::Streamed => shard(self.trials, self.parallel, |range| {
                 let mut runner = TrialRunner::new();
                 let mut results = Vec::with_capacity(range.len());
@@ -781,23 +768,16 @@ impl<'a> Sweep<'a> {
         let spec = self.spec;
 
         match self.demote_lanes(self.resolve_scenario_path(&scenario)) {
-            Path::Materialized => shard(self.trials, self.parallel, |range| {
-                let mut runner = TrialRunner::new();
-                let mut seq = InteractionSequence::new(n);
-                let mut results = Vec::with_capacity(range.len());
-                for trial in range {
-                    let trial_seed = seeds.seed(trial as u64);
-                    let mut source = scenario.base.source(n, trial_seed);
-                    seq.fill_from(source.as_mut(), horizon);
-                    let trial_config = TrialConfig {
-                        fault: scenario.fault_injection(trial_seed),
-                        byzantine: scenario.byzantine_injection(trial_seed),
-                        ..TrialConfig::default()
-                    };
-                    results.push(runner.run_with(spec, &seq, &trial_config, datum));
-                }
-                results
-            }),
+            Path::Materialized => self.run_committed_sharded(
+                horizon,
+                datum,
+                |trial_seed| scenario.base.source(n, trial_seed),
+                |trial_seed| TrialConfig {
+                    fault: scenario.fault_injection(trial_seed),
+                    byzantine: scenario.byzantine_injection(trial_seed),
+                    ..TrialConfig::default()
+                },
+            ),
             Path::Streamed => shard(self.trials, self.parallel, |range| {
                 let mut runner = TrialRunner::new();
                 let mut results = Vec::with_capacity(range.len());
@@ -887,21 +867,15 @@ impl<'a> Sweep<'a> {
         let spec = self.spec;
 
         match self.demote_lanes(self.resolve_workload_path()) {
-            Path::Materialized => shard(self.trials, self.parallel, |range| {
-                let mut runner = TrialRunner::new();
-                let mut seq = InteractionSequence::new(n);
-                let mut results = Vec::with_capacity(range.len());
-                for trial in range {
-                    let trial_seed = seeds.seed(trial as u64);
-                    workload.fill(&mut seq, horizon, trial_seed);
-                    let trial_config = TrialConfig {
-                        byzantine: self.workload_byzantine_injection(trial_seed),
-                        ..TrialConfig::default()
-                    };
-                    results.push(runner.run_with(spec, &seq, &trial_config, datum));
-                }
-                results
-            }),
+            Path::Materialized => self.run_committed_sharded(
+                horizon,
+                datum,
+                |trial_seed| workload.source(trial_seed),
+                |trial_seed| TrialConfig {
+                    byzantine: self.workload_byzantine_injection(trial_seed),
+                    ..TrialConfig::default()
+                },
+            ),
             Path::Streamed => shard(self.trials, self.parallel, |range| {
                 let mut runner = TrialRunner::new();
                 let mut results = Vec::with_capacity(range.len());
@@ -930,6 +904,44 @@ impl<'a> Sweep<'a> {
                 unreachable!("resolve_workload_path rejects the hierarchical tier")
             }
         }
+    }
+
+    /// The materialised path's sharded driver, shared by every family and
+    /// datum: trial `i` runs [`TrialRunner::run_committed_with`] over the
+    /// seeded source `make_source(seed_i)` committed to `horizon`
+    /// interactions, with `trial_config(seed_i)`. Each worker keeps one
+    /// scratch sequence for the specs that materialise.
+    fn run_committed_sharded<D, F, C>(
+        &self,
+        horizon: usize,
+        datum: &D,
+        make_source: F,
+        trial_config: C,
+    ) -> Vec<TrialResult>
+    where
+        D: DatumFamily,
+        F: Fn(u64) -> Box<dyn InteractionSource + Send> + Sync,
+        C: Fn(u64) -> TrialConfig + Sync,
+    {
+        let seeds = SeedSequence::new(self.seed);
+        let spec = self.spec;
+        shard(self.trials, self.parallel, |range| {
+            let mut runner = TrialRunner::new();
+            let mut scratch = InteractionSequence::new(0);
+            range
+                .map(|trial| {
+                    let trial_seed = seeds.seed(trial as u64);
+                    runner.run_committed_with(
+                        spec,
+                        &|| make_source(trial_seed),
+                        horizon,
+                        &mut scratch,
+                        &trial_config(trial_seed),
+                        datum,
+                    )
+                })
+                .collect()
+        })
     }
 
     /// The sharded lane driver: each worker chunk runs its trials in

@@ -6,8 +6,10 @@
 //! — it drives a knowledge-free algorithm straight off an
 //! [`InteractionSource`] in `O(n)` memory; [`TrialRunner::run`] executes
 //! over a materialised sequence for the algorithms whose oracles need the
-//! future. [`run_trial_on_sequence`] remains as a stateless convenience
-//! for one-off trials.
+//! future, and [`TrialRunner::run_committed_with`] runs the sweep's
+//! materialised path, materialising only for the oracles that cannot be
+//! built on demand. [`run_trial_on_sequence`] remains as a stateless
+//! convenience for one-off trials.
 
 use doda_core::algebra::AggregateSummary;
 use doda_core::byzantine::{ByzantineInjector, ByzantineProfile, Tally, Verdict};
@@ -19,13 +21,13 @@ use doda_core::hierarchy::ClusterPlan;
 use doda_core::lane::{LaneEngine, LaneRunStats};
 use doda_core::outcome::{Completion, FaultTally};
 use doda_core::round::RoundSource;
-use doda_core::{InteractionSequence, InteractionSource, Time};
+use doda_core::{CommittedStream, DodaAlgorithm, InteractionSequence, InteractionSource, Time};
 use doda_graph::NodeId;
 use doda_stats::rng::SeedSequence;
 
 use crate::datum::{DatumFamily, ExactOrigins};
 use crate::scenario::Scenario;
-use crate::spec::AlgorithmSpec;
+use crate::spec::{AlgorithmSpec, KnowledgeRequirement};
 
 /// Label of the aggregator-election seed stream within a hierarchical
 /// trial (see [`TrialRunner::run_hierarchical`]): the election, each
@@ -236,7 +238,6 @@ impl<A: Aggregate> TrialRunner<A> {
         let n = seq.node_count();
         let sink = config.sink;
         let max_interactions = config.max_interactions.unwrap_or(seq.len() as u64);
-        let engine_config = EngineConfig::sweep(max_interactions);
         let Some(mut algorithm) = spec.instantiate(seq, sink) else {
             // Spanning tree over a disconnected underlying graph: no
             // algorithm could aggregate on this sequence; report a
@@ -258,78 +259,72 @@ impl<A: Aggregate> TrialRunner<A> {
                 verdict: config.byzantine.map(|_| Verdict::Clean),
             };
         };
-        let mut audit: Option<Tally> = None;
-        let stats = match (config.fault, config.byzantine) {
-            (None, None) => self.engine.run(
-                algorithm.as_mut(),
-                &mut seq.stream(false),
-                sink,
-                |v| family.initial(v),
-                engine_config,
-                &mut DiscardTransmissions,
-            ),
-            (Some(injection), None) => {
-                // The oracles above were built from the base sequence (the
-                // committed schedule); only execution sees the faults.
-                let mut faulted =
-                    FaultedSource::new(seq.stream(false), injection.profile, injection.seed)
-                        .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
-                self.engine.run(
-                    algorithm.as_mut(),
-                    &mut faulted,
-                    sink,
-                    |v| family.initial(v),
-                    engine_config,
-                    &mut DiscardTransmissions,
-                )
-            }
-            (fault, Some(byz)) => {
-                // Byzantine corruption lives on the data plane: the same
-                // schedule (faulted or not) runs through the audited engine
-                // path, which records a receipt per transfer.
-                let mut injector = ByzantineInjector::new(byz.profile, n, sink, byz.seed)
-                    .unwrap_or_else(|e| panic!("invalid byzantine plan: {e}"));
-                let mut tally = Tally::new();
-                let stats = match fault {
-                    None => self.engine.run_audited(
-                        algorithm.as_mut(),
-                        &mut seq.stream(false),
-                        sink,
-                        |v| family.initial(v),
-                        engine_config,
-                        &mut DiscardTransmissions,
-                        &mut injector,
-                        &mut tally,
-                    ),
-                    Some(injection) => {
-                        let mut faulted = FaultedSource::new(
-                            seq.stream(false),
-                            injection.profile,
-                            injection.seed,
-                        )
-                        .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
-                        self.engine.run_audited(
-                            algorithm.as_mut(),
-                            &mut faulted,
-                            sink,
-                            |v| family.initial(v),
-                            engine_config,
-                            &mut DiscardTransmissions,
-                            &mut injector,
-                            &mut tally,
-                        )
-                    }
-                };
-                audit = Some(tally);
-                stats
-            }
-        }
-        .expect("the provided algorithms never emit structurally invalid decisions");
+        let (stats, verdict) = self.execute(
+            algorithm.as_mut(),
+            &mut seq.stream(false),
+            config,
+            family,
+            max_interactions,
+        );
         let cost = config
             .compute_cost
             .then(|| cost_of_duration(seq, sink, stats.termination_time, config.max_convergecasts));
         let mut result = self.finish_with(spec, family, stats, cost);
-        result.verdict = audit.map(|tally| tally.verdict::<A>());
+        result.verdict = verdict;
+        result
+    }
+
+    /// Runs one trial of the **materialised path** with the given datum
+    /// family: `spec` against the first `horizon` interactions of the
+    /// seeded stream `source()` (called once per stream instance the trial
+    /// needs), as [`TrialRunner::run_with`] runs it over
+    /// [`InteractionSequence::materialize`]`(source(), horizon)`.
+    ///
+    /// The spec's [`KnowledgeRequirement`] picks how the future is read:
+    ///
+    /// * `MeetTime` (Waiting Greedy): nothing is materialised. The engine
+    ///   plays one instance of the source live, as a
+    ///   [`CommittedStream`] capped at `horizon`, and the oracle scans a
+    ///   second instance ahead only as far as the decisions need
+    ///   ([`AlgorithmSpec::instantiate_on_demand`]). The interaction budget
+    ///   defaults to `horizon`, which is the materialised sequence's
+    ///   length for every registry and workload source (all infinite).
+    /// * anything else, or a trial computing the cost function (which
+    ///   prices the concrete sequence): the horizon is materialised into
+    ///   `scratch` and run by [`TrialRunner::run_with`].
+    ///
+    /// # Panics
+    ///
+    /// As [`TrialRunner::run_with`].
+    pub fn run_committed_with<D>(
+        &mut self,
+        spec: AlgorithmSpec,
+        source: &dyn Fn() -> Box<dyn InteractionSource + Send>,
+        horizon: usize,
+        scratch: &mut InteractionSequence,
+        config: &TrialConfig,
+        family: &D,
+    ) -> TrialResult
+    where
+        D: DatumFamily<Agg = A>,
+    {
+        if spec.knowledge_requirement() != KnowledgeRequirement::MeetTime || config.compute_cost {
+            scratch.fill_from(source().as_mut(), horizon);
+            return self.run_with(spec, scratch, config, family);
+        }
+        let mut algorithm = spec
+            .instantiate_on_demand(source(), horizon, config.sink)
+            .expect("meetTime specs build their oracle on demand");
+        let max_interactions = config.max_interactions.unwrap_or(horizon as u64);
+        let (stats, verdict) = self.execute(
+            algorithm.as_mut(),
+            &mut CommittedStream::new(source(), horizon),
+            config,
+            family,
+            max_interactions,
+        );
+        let mut result = self.finish_with(spec, family, stats, None);
+        result.verdict = verdict;
         result
     }
 
@@ -352,7 +347,6 @@ impl<A: Aggregate> TrialRunner<A> {
             "the paper's cost function needs the materialised sequence; \
              streamed trials cannot compute it"
         );
-        let sink = config.sink;
         let max_interactions = config
             .max_interactions
             .unwrap_or(EngineConfig::default().max_interactions);
@@ -363,11 +357,36 @@ impl<A: Aggregate> TrialRunner<A> {
                 spec.knowledge()
             );
         };
+        let (stats, verdict) =
+            self.execute(algorithm.as_mut(), source, config, family, max_interactions);
+        let mut result = self.finish_with(spec, family, stats, None);
+        result.verdict = verdict;
+        result
+    }
+
+    /// Runs `algorithm` over `source` with the trial's fault and Byzantine
+    /// plans applied: the engine plumbing every pairwise path shares. A
+    /// fault plan wraps the source in a [`FaultedSource`]; a Byzantine plan
+    /// routes the run through the audited engine and yields its verdict.
+    fn execute<G, S, D>(
+        &mut self,
+        algorithm: &mut G,
+        source: &mut S,
+        config: &TrialConfig,
+        family: &D,
+        max_interactions: u64,
+    ) -> (RunStats, Option<Verdict>)
+    where
+        G: DodaAlgorithm + ?Sized,
+        S: InteractionSource + ?Sized,
+        D: DatumFamily<Agg = A>,
+    {
+        let sink = config.sink;
         let engine_config = EngineConfig::sweep(max_interactions);
         let mut audit: Option<Tally> = None;
         let stats = match (config.fault, config.byzantine) {
             (None, None) => self.engine.run(
-                algorithm.as_mut(),
+                algorithm,
                 source,
                 sink,
                 |v| family.initial(v),
@@ -378,7 +397,7 @@ impl<A: Aggregate> TrialRunner<A> {
                 let mut faulted = FaultedSource::new(source, injection.profile, injection.seed)
                     .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
                 self.engine.run(
-                    algorithm.as_mut(),
+                    algorithm,
                     &mut faulted,
                     sink,
                     |v| family.initial(v),
@@ -387,13 +406,16 @@ impl<A: Aggregate> TrialRunner<A> {
                 )
             }
             (fault, Some(byz)) => {
+                // Byzantine corruption lives on the data plane: the same
+                // schedule (faulted or not) runs through the audited engine
+                // path, which records a receipt per transfer.
                 let n = source.node_count();
                 let mut injector = ByzantineInjector::new(byz.profile, n, sink, byz.seed)
                     .unwrap_or_else(|e| panic!("invalid byzantine plan: {e}"));
                 let mut tally = Tally::new();
                 let stats = match fault {
                     None => self.engine.run_audited(
-                        algorithm.as_mut(),
+                        algorithm,
                         source,
                         sink,
                         |v| family.initial(v),
@@ -407,7 +429,7 @@ impl<A: Aggregate> TrialRunner<A> {
                             FaultedSource::new(source, injection.profile, injection.seed)
                                 .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
                         self.engine.run_audited(
-                            algorithm.as_mut(),
+                            algorithm,
                             &mut faulted,
                             sink,
                             |v| family.initial(v),
@@ -423,9 +445,7 @@ impl<A: Aggregate> TrialRunner<A> {
             }
         }
         .expect("the provided algorithms never emit structurally invalid decisions");
-        let mut result = self.finish_with(spec, family, stats, None);
-        result.verdict = audit.map(|tally| tally.verdict::<A>());
-        result
+        (stats, audit.map(|tally| tally.verdict::<A>()))
     }
 
     /// Runs `spec` over a **round** stream with the given datum family.
