@@ -237,7 +237,7 @@ pub struct CellResult {
     /// path and never the lane, rounds or hierarchical tiers.
     pub byzantine_profile: String,
     /// The execution tier the sweep resolved for the cell: `"lanes"`
-    /// (lockstep bit-lane batches), `"rounds"` (native batched rounds),
+    /// (lockstep bit-lane batches), `"rounds"` (one matching per round),
     /// `"streamed"` (scalar pull loop, `O(n)` memory), `"materialized"`
     /// (oracle construction forced sequence generation) or
     /// `"hierarchical"` (clustered two-phase aggregation, pinned by a

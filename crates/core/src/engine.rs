@@ -18,17 +18,38 @@
 //!   provided [`TransmissionSink`]. Monte-Carlo sweeps (see `doda-sim`)
 //!   keep one `Engine` per worker thread and run thousands of trials
 //!   through it.
+//!
+//! # One event loop, two data planes
+//!
+//! Every execution — run to completion, sliced, audited, or over rounds —
+//! steps through one private loop: pull one event from the source, apply
+//! a fault event or present the interaction to the algorithm, apply at
+//! most one transmission. [`Engine::run`] and [`Engine::step_for`] drive
+//! it directly; [`Engine::run_rounds`] drives it over the flattened round
+//! stream ([`crate::round::FlattenedRounds`]).
+//!
+//! What a transmission does to the payload is the loop's only variation
+//! point, a private *data plane*:
+//!
+//! * the **honest** plane (zero-sized) applies the model's transfer rule;
+//! * the **audited** plane, behind [`Engine::run_audited`], routes each
+//!   liar's transfer through its [`ByzantineStrategy`], keeps the unit
+//!   ledger (how many original data each node carries), and emits one
+//!   [`Receipt`] per applied transmission.
+//!
+//! The schedule, the model rules and the error surface are the loop's, so
+//! they are identical on both planes.
 
 use doda_graph::NodeId;
 
 use crate::algorithm::{Decision, DodaAlgorithm, InteractionContext};
 use crate::byzantine::{ByzantineInjector, ByzantineStrategy, Receipt, ReceiptSink};
 use crate::data::Aggregate;
-use crate::error::{EngineError, FaultError};
+use crate::error::{EngineError, FaultError, TransmissionError};
 use crate::fault::CrashPolicy;
 use crate::interaction::{Interaction, Time};
 use crate::outcome::{Completion, ExecutionOutcome, FaultTally, Transmission};
-use crate::round::{Matching, RoundSource, MAX_CONSECUTIVE_EMPTY_ROUNDS};
+use crate::round::{FlattenedRounds, RoundSource};
 use crate::sequence::{AdversaryView, InteractionSource, StepEvent};
 use crate::state::NetworkState;
 
@@ -298,10 +319,6 @@ pub struct Engine<A> {
     /// as non-owners in the adversary view and must never appear in a
     /// presented interaction.
     live: Vec<bool>,
-    /// Scratch matching handed to [`RoundSource::next_round`] by
-    /// [`Engine::run_rounds`]; preallocated alongside the rest of the
-    /// engine scratch so round sweeps allocate nothing per round.
-    round_scratch: Matching,
 }
 
 /// The counters produced by one [`Engine::run_rounds`] execution: the
@@ -331,7 +348,6 @@ impl<A: Aggregate> Engine<A> {
             ownership: Vec::new(),
             owners: 0,
             live: Vec::new(),
-            round_scratch: Matching::default(),
         }
     }
 
@@ -427,8 +443,8 @@ impl<A: Aggregate> Engine<A> {
     ///
     /// # Panics
     ///
-    /// As [`Engine::run`]; additionally the injector must have been
-    /// built for the source's node count.
+    /// As [`Engine::run`]. An injector built for a different node count
+    /// does not panic: nodes beyond its population are honest.
     #[allow(clippy::too_many_arguments)]
     pub fn run_audited<F, S, D, T, R>(
         &mut self,
@@ -450,74 +466,24 @@ impl<A: Aggregate> Engine<A> {
     {
         let n = source.node_count();
         injector.reset();
-        // The unit ledger: original data units each node currently
-        // carries. Every node starts with its own single datum; honest
-        // transfers move units, corrupting ones mint, double, or void
-        // them — which is exactly what the receipts expose.
-        let mut units = vec![1u64; n];
+        let mut plane = Audited {
+            injector,
+            units: vec![1; n],
+            receipts,
+        };
         let mut run = self.begin_run(n, sink, &mut initial_data, config);
-        loop {
-            if run.termination_time.is_some() || run.processed >= run.max_interactions {
-                break;
-            }
-            let t = run.processed;
-            let view = AdversaryView {
-                owns_data: &self.ownership,
-                sink,
-            };
-            let Some(event) = source.next_event(t, &view) else {
-                break;
-            };
-            run.processed += 1;
-
-            let interaction = match event {
-                StepEvent::Interaction(interaction) => interaction,
-                StepEvent::Lost(_) => {
-                    run.faults.lost_interactions += 1;
-                    continue;
-                }
-                StepEvent::Crash { node, policy } => {
-                    run.faults.crashes += 1;
-                    self.remove_node(node, sink, Some(policy), t, &mut run.faults)?;
-                    units[node.index()] = 0;
-                    if self.owners == 1 {
-                        run.termination_time = Some(t);
-                    }
-                    continue;
-                }
-                StepEvent::Departure(node) => {
-                    run.faults.departures += 1;
-                    self.remove_node(node, sink, None, t, &mut run.faults)?;
-                    units[node.index()] = 0;
-                    if self.owners == 1 {
-                        run.termination_time = Some(t);
-                    }
-                    continue;
-                }
-                StepEvent::Arrival(node) => {
-                    run.faults.arrivals += 1;
-                    self.admit_node(node, sink, &mut initial_data, t)?;
-                    units[node.index()] = 1;
-                    continue;
-                }
-            };
-
-            if let Some(done) = self.apply_interaction_audited(
+        while self
+            .step_with(
+                &mut run,
                 algorithm,
-                t,
-                interaction,
-                sink,
-                transmissions,
-                &mut run.applied,
-                &mut run.ignored,
-                injector,
+                source,
                 &mut initial_data,
-                &mut units,
-                receipts,
-            )? {
-                run.termination_time = Some(done);
-            }
-        }
+                u64::MAX,
+                transmissions,
+                &mut plane,
+            )?
+            .can_continue()
+        {}
         Ok(self.finish_run(&run))
     }
 
@@ -589,6 +555,39 @@ impl<A: Aggregate> Engine<A> {
         D: DodaAlgorithm + ?Sized,
         T: TransmissionSink + ?Sized,
     {
+        self.step_with(
+            run,
+            algorithm,
+            source,
+            &mut initial_data,
+            budget,
+            transmissions,
+            &mut Honest,
+        )
+    }
+
+    /// The engine's one event loop, behind [`Engine::step_for`] and
+    /// [`Engine::run_audited`]: pulls at most `budget` events, applies
+    /// fault events, presents interactions to the algorithm, and routes
+    /// every applied transfer through `plane`.
+    #[allow(clippy::too_many_arguments)]
+    fn step_with<F, S, D, T, P>(
+        &mut self,
+        run: &mut RunProgress,
+        algorithm: &mut D,
+        source: &mut S,
+        initial_data: &mut F,
+        budget: u64,
+        transmissions: &mut T,
+        plane: &mut P,
+    ) -> Result<StepOutcome, EngineError>
+    where
+        F: FnMut(NodeId) -> A,
+        S: InteractionSource + ?Sized,
+        D: DodaAlgorithm + ?Sized,
+        T: TransmissionSink + ?Sized,
+        P: DataPlane<A>,
+    {
         let sink = run.sink;
         let slice_end = run
             .processed
@@ -598,11 +597,12 @@ impl<A: Aggregate> Engine<A> {
             if run.termination_time.is_some() {
                 return Ok(StepOutcome::Completed);
             }
-            if run.processed >= run.max_interactions {
-                return Ok(StepOutcome::HorizonReached);
-            }
             if run.processed >= slice_end {
-                return Ok(StepOutcome::BudgetSpent);
+                return Ok(if run.processed >= run.max_interactions {
+                    StepOutcome::HorizonReached
+                } else {
+                    StepOutcome::BudgetSpent
+                });
             }
             let t = run.processed;
             let view = AdversaryView {
@@ -623,6 +623,7 @@ impl<A: Aggregate> Engine<A> {
                 StepEvent::Crash { node, policy } => {
                     run.faults.crashes += 1;
                     self.remove_node(node, sink, Some(policy), t, &mut run.faults)?;
+                    plane.removed(node);
                     if self.owners == 1 {
                         run.termination_time = Some(t);
                     }
@@ -631,6 +632,7 @@ impl<A: Aggregate> Engine<A> {
                 StepEvent::Departure(node) => {
                     run.faults.departures += 1;
                     self.remove_node(node, sink, None, t, &mut run.faults)?;
+                    plane.removed(node);
                     if self.owners == 1 {
                         run.termination_time = Some(t);
                     }
@@ -638,7 +640,8 @@ impl<A: Aggregate> Engine<A> {
                 }
                 StepEvent::Arrival(node) => {
                     run.faults.arrivals += 1;
-                    self.admit_node(node, sink, &mut initial_data, t)?;
+                    self.admit_node(node, sink, initial_data, t)?;
+                    plane.admitted(node);
                     continue;
                 }
             };
@@ -649,8 +652,9 @@ impl<A: Aggregate> Engine<A> {
                 interaction,
                 sink,
                 transmissions,
-                &mut run.applied,
-                &mut run.ignored,
+                run,
+                initial_data,
+                plane,
             )? {
                 run.termination_time = Some(done);
             }
@@ -706,16 +710,17 @@ impl<A: Aggregate> Engine<A> {
     }
 
     /// Runs `algorithm` over the synchronous rounds produced by `rounds`,
-    /// reusing this engine's scratch (including a preallocated scratch
-    /// [`Matching`] — the per-round hot path allocates nothing).
+    /// reusing this engine's scratch. The rounds are played through
+    /// [`FlattenedRounds`], which allocates its round matching once per
+    /// run and then reuses it for every round.
     ///
     /// Each round, the source observes the ownership view *as of round
     /// start* and commits a whole matching; the engine then applies the
-    /// round's interactions as a batch against the preallocated
-    /// [`NetworkState`]. Because a matching's edges are vertex-disjoint,
+    /// round's interactions one per step through the same event loop as
+    /// [`Engine::run`]. Because a matching's edges are vertex-disjoint,
     /// no interaction of a round can change the state another one reads —
-    /// batch application *is* the synchronous semantics. Within the batch
-    /// the interaction clock keeps ticking one step per interaction, so
+    /// applying them in order *is* the synchronous semantics. The
+    /// interaction clock ticks one step per interaction, so
     /// [`RunStats::interactions_processed`] and `config.max_interactions`
     /// mean exactly what they mean on the pairwise path; a budget that
     /// runs out mid-round cuts the round, and termination (the sink
@@ -728,10 +733,9 @@ impl<A: Aggregate> Engine<A> {
     /// `tests/round_equivalence.rs`.
     ///
     /// Empty rounds are legal (an evolving-graph window may carry no edge)
-    /// but bounded: after [`MAX_CONSECUTIVE_EMPTY_ROUNDS`] consecutive
-    /// empty rounds the source is treated as exhausted, the same rule
-    /// [`crate::round::FlattenedRounds`] applies — which keeps this path
-    /// and the flattened pairwise path equivalent on any round stream.
+    /// but bounded: after [`crate::round::MAX_CONSECUTIVE_EMPTY_ROUNDS`]
+    /// consecutive empty rounds the source is treated as exhausted, the
+    /// rule [`FlattenedRounds`] applies.
     ///
     /// Fault plans do not plug in here: wrap the *flattened* stream in a
     /// [`crate::fault::FaultedSource`] and use [`Engine::run`] (see the
@@ -751,7 +755,7 @@ impl<A: Aggregate> Engine<A> {
         algorithm: &mut D,
         rounds: &mut R,
         sink: NodeId,
-        mut initial_data: F,
+        initial_data: F,
         config: EngineConfig,
         transmissions: &mut T,
     ) -> Result<RoundRunStats, EngineError>
@@ -761,114 +765,42 @@ impl<A: Aggregate> Engine<A> {
         D: DodaAlgorithm + ?Sized,
         T: TransmissionSink + ?Sized,
     {
-        let n = rounds.node_count();
-        self.state.reset(n, sink, &mut initial_data);
-        self.ownership.clear();
-        self.ownership.resize(n, true);
-        self.live.clear();
-        self.live.resize(n, true);
-        self.owners = n;
-
-        let mut applied = 0u64;
-        let mut ignored = 0u64;
-        let mut processed = 0u64;
-        let mut rounds_processed = 0u64;
-        let mut consecutive_empty = 0u64;
-        let mut termination_time = if self.owners == 1 { Some(0) } else { None };
-
-        while termination_time.is_none() && processed < config.max_interactions {
-            // Split borrows: the view reads `self.ownership` while the
-            // source fills the disjoint `self.round_scratch` field, so the
-            // scratch is moved out for the duration of the round.
-            let mut matching = std::mem::take(&mut self.round_scratch);
-            matching.reset(n);
-            let view = AdversaryView {
-                owns_data: &self.ownership,
-                sink,
-            };
-            let more = rounds.next_round(rounds_processed, &view, &mut matching);
-            if !more {
-                self.round_scratch = matching;
-                break;
-            }
-            rounds_processed += 1;
-            if matching.is_empty() {
-                consecutive_empty += 1;
-                self.round_scratch = matching;
-                if consecutive_empty >= MAX_CONSECUTIVE_EMPTY_ROUNDS {
-                    break;
-                }
-                continue;
-            }
-            consecutive_empty = 0;
-
-            for &interaction in matching.as_slice() {
-                if termination_time.is_some() || processed >= config.max_interactions {
-                    break;
-                }
-                let t = processed;
-                processed += 1;
-                let step = self.apply_interaction(
-                    algorithm,
-                    t,
-                    interaction,
-                    sink,
-                    transmissions,
-                    &mut applied,
-                    &mut ignored,
-                );
-                match step {
-                    Ok(Some(done)) => termination_time = Some(done),
-                    Ok(None) => {}
-                    Err(e) => {
-                        self.round_scratch = matching;
-                        return Err(e);
-                    }
-                }
-            }
-            self.round_scratch = matching;
-        }
-
-        let completion = match termination_time {
-            Some(_) => Completion::Aggregated,
-            None => Completion::Starved,
-        };
+        let mut flat = FlattenedRounds::new(rounds);
+        let run = self.run(
+            algorithm,
+            &mut flat,
+            sink,
+            initial_data,
+            config,
+            transmissions,
+        )?;
         Ok(RoundRunStats {
-            run: RunStats {
-                node_count: n,
-                sink,
-                termination_time,
-                interactions_processed: processed,
-                transmissions: applied,
-                ignored_decisions: ignored,
-                remaining_owners: self.owners,
-                completion,
-                faults: FaultTally::default(),
-            },
-            rounds_processed,
+            run,
+            rounds_processed: flat.rounds_pulled(),
         })
     }
 
-    /// Applies one presented interaction — the step shared verbatim by the
-    /// pairwise path ([`Engine::run`]) and the round path
-    /// ([`Engine::run_rounds`]), which is what makes the two byte-identical
-    /// on singleton rounds: dead-endpoint check, algorithm decision,
-    /// transmission bookkeeping. Returns `Some(t)` when the step completed
-    /// the aggregation.
+    /// Applies one presented interaction: dead-endpoint check, algorithm
+    /// decision, and — when the model admits the decision — one transfer
+    /// through `plane` plus the ownership bookkeeping. Returns `Some(t)`
+    /// when the step completed the aggregation.
     #[allow(clippy::too_many_arguments)]
-    fn apply_interaction<D, T>(
+    fn apply_interaction<D, T, F, P>(
         &mut self,
         algorithm: &mut D,
         t: Time,
         interaction: Interaction,
         sink: NodeId,
         transmissions: &mut T,
-        applied: &mut u64,
-        ignored: &mut u64,
+        run: &mut RunProgress,
+        initial_data: &mut F,
+        plane: &mut P,
     ) -> Result<Option<Time>, EngineError>
     where
         D: DodaAlgorithm + ?Sized,
         T: TransmissionSink + ?Sized,
+        F: FnMut(NodeId) -> A,
+        P: DataPlane<A>,
     {
         for endpoint in [interaction.min(), interaction.max()] {
             if !self.live.get(endpoint.index()).copied().unwrap_or(false) {
@@ -910,14 +842,14 @@ impl<A: Aggregate> Engine<A> {
                     // can only come from an algorithm treating the sink
                     // as a regular node, and the model simply forbids
                     // the transfer.
-                    *ignored += 1;
+                    run.ignored += 1;
                 } else {
-                    self.state
-                        .transmit(sender, receiver)
+                    plane
+                        .transfer(&mut self.state, t, sender, receiver, initial_data)
                         .map_err(|cause| EngineError::InvalidTransmission { time: t, cause })?;
                     self.ownership[sender.index()] = false;
                     self.owners -= 1;
-                    *applied += 1;
+                    run.applied += 1;
                     transmissions.record(Transmission {
                         time: t,
                         sender,
@@ -927,139 +859,6 @@ impl<A: Aggregate> Engine<A> {
                     // The sink can never transmit and never dies, so it
                     // always owns data: a single remaining owner must be
                     // the sink.
-                    if self.owners == 1 {
-                        return Ok(Some(t));
-                    }
-                }
-            }
-        }
-        Ok(None)
-    }
-
-    /// The audited variant of [`Engine::apply_interaction`]: identical
-    /// decision handling and model rules, but the transfer itself routes
-    /// through the sender's [`ByzantineStrategy`] (if it is a liar),
-    /// maintains the unit ledger, and emits one [`Receipt`] per applied
-    /// transmission.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_interaction_audited<D, T, R, F>(
-        &mut self,
-        algorithm: &mut D,
-        t: Time,
-        interaction: Interaction,
-        sink: NodeId,
-        transmissions: &mut T,
-        applied: &mut u64,
-        ignored: &mut u64,
-        injector: &mut ByzantineInjector,
-        initial_data: &mut F,
-        units: &mut [u64],
-        receipts: &mut R,
-    ) -> Result<Option<Time>, EngineError>
-    where
-        D: DodaAlgorithm + ?Sized,
-        T: TransmissionSink + ?Sized,
-        R: ReceiptSink + ?Sized,
-        F: FnMut(NodeId) -> A,
-    {
-        for endpoint in [interaction.min(), interaction.max()] {
-            if !self.live.get(endpoint.index()).copied().unwrap_or(false) {
-                return Err(EngineError::InvalidFault {
-                    time: t,
-                    cause: FaultError::DeadParticipant {
-                        interaction,
-                        node: endpoint,
-                    },
-                });
-            }
-        }
-
-        let ctx = InteractionContext {
-            time: t,
-            interaction,
-            min_owns_data: self.owns(interaction.min()),
-            max_owns_data: self.owns(interaction.max()),
-            sink,
-        };
-        match algorithm.decide(&ctx) {
-            Decision::Idle => {}
-            Decision::Transmit { sender, receiver } => {
-                if !interaction.involves(sender)
-                    || !interaction.involves(receiver)
-                    || sender == receiver
-                {
-                    return Err(EngineError::DecisionOutsideInteraction {
-                        time: t,
-                        interaction,
-                        sender,
-                        receiver,
-                    });
-                }
-                if !ctx.both_own_data() || sender == sink {
-                    // The paper's "output is ignored" rule, exactly as
-                    // on the honest path.
-                    *ignored += 1;
-                } else {
-                    let carried = units[sender.index()];
-                    let corruption = if injector.is_liar(sender) {
-                        Some(injector.strategy())
-                    } else {
-                        None
-                    };
-                    let invalid = |cause| EngineError::InvalidTransmission { time: t, cause };
-                    let delivered = match corruption {
-                        None => {
-                            self.state.transmit(sender, receiver).map_err(invalid)?;
-                            units[receiver.index()] += carried;
-                            carried
-                        }
-                        Some(ByzantineStrategy::Forge) => {
-                            let origin = injector.forged_origin(self.state.node_count());
-                            self.state
-                                .transmit_forged(sender, receiver, initial_data(origin))
-                                .map_err(invalid)?;
-                            units[receiver.index()] += carried + 1;
-                            carried + 1
-                        }
-                        Some(ByzantineStrategy::Duplicate) => {
-                            self.state
-                                .transmit_duplicated(sender, receiver)
-                                .map_err(invalid)?;
-                            units[receiver.index()] += 2 * carried;
-                            2 * carried
-                        }
-                        Some(ByzantineStrategy::DropCarried) => {
-                            self.state
-                                .transmit_voided(sender, receiver)
-                                .map_err(invalid)?;
-                            0
-                        }
-                        Some(ByzantineStrategy::Equivocate) => {
-                            self.state
-                                .transmit_equivocated(sender, receiver, initial_data(sender))
-                                .map_err(invalid)?;
-                            units[receiver.index()] += 1;
-                            1
-                        }
-                    };
-                    units[sender.index()] = 0;
-                    self.ownership[sender.index()] = false;
-                    self.owners -= 1;
-                    *applied += 1;
-                    transmissions.record(Transmission {
-                        time: t,
-                        sender,
-                        receiver,
-                    });
-                    receipts.record(Receipt {
-                        time: t,
-                        sender,
-                        receiver,
-                        carried_units: carried,
-                        delivered_units: delivered,
-                        corruption,
-                    });
-                    algorithm.on_transmission(t, sender, receiver);
                     if self.owners == 1 {
                         return Ok(Some(t));
                     }
@@ -1140,6 +939,126 @@ impl<A: Aggregate> Engine<A> {
     #[inline]
     fn owns(&self, v: NodeId) -> bool {
         self.ownership.get(v.index()).copied().unwrap_or(false)
+    }
+}
+
+/// What one applied transfer does to the payload: the engine loop's only
+/// variation point. The loop owns the schedule and the model rules; a
+/// plane only moves data and observes fault events that change what a
+/// node carries.
+trait DataPlane<A> {
+    /// Moves `sender`'s data to `receiver` at interaction `t`.
+    fn transfer<F>(
+        &mut self,
+        state: &mut NetworkState<A>,
+        t: Time,
+        sender: NodeId,
+        receiver: NodeId,
+        initial_data: &mut F,
+    ) -> Result<(), TransmissionError>
+    where
+        F: FnMut(NodeId) -> A;
+
+    /// Called after `node` crashed or departed.
+    fn removed(&mut self, _node: NodeId) {}
+
+    /// Called after `node` arrived with a fresh datum.
+    fn admitted(&mut self, _node: NodeId) {}
+}
+
+/// The honest data plane: the model's transfer rule, nothing else.
+struct Honest;
+
+impl<A: Aggregate> DataPlane<A> for Honest {
+    #[inline]
+    fn transfer<F>(
+        &mut self,
+        state: &mut NetworkState<A>,
+        _t: Time,
+        sender: NodeId,
+        receiver: NodeId,
+        _initial_data: &mut F,
+    ) -> Result<(), TransmissionError>
+    where
+        F: FnMut(NodeId) -> A,
+    {
+        state.transmit(sender, receiver)
+    }
+}
+
+/// The audited data plane of [`Engine::run_audited`]: liars corrupt their
+/// transfer per the injector's [`ByzantineStrategy`], and every transfer
+/// emits one [`Receipt`].
+struct Audited<'a, R: ?Sized> {
+    injector: &'a mut ByzantineInjector,
+    /// The unit ledger: original data units each node currently carries.
+    /// Every node starts with its own single datum; honest transfers move
+    /// units, corrupting ones mint, double, or void them — which is
+    /// exactly what the receipts expose.
+    units: Vec<u64>,
+    receipts: &'a mut R,
+}
+
+impl<A: Aggregate, R: ReceiptSink + ?Sized> DataPlane<A> for Audited<'_, R> {
+    fn transfer<F>(
+        &mut self,
+        state: &mut NetworkState<A>,
+        t: Time,
+        sender: NodeId,
+        receiver: NodeId,
+        initial_data: &mut F,
+    ) -> Result<(), TransmissionError>
+    where
+        F: FnMut(NodeId) -> A,
+    {
+        let carried = self.units[sender.index()];
+        let corruption = if self.injector.is_liar(sender) {
+            Some(self.injector.strategy())
+        } else {
+            None
+        };
+        let delivered = match corruption {
+            None => {
+                state.transmit(sender, receiver)?;
+                carried
+            }
+            Some(ByzantineStrategy::Forge) => {
+                let origin = self.injector.forged_origin(state.node_count());
+                state.transmit_forged(sender, receiver, initial_data(origin))?;
+                carried + 1
+            }
+            Some(ByzantineStrategy::Duplicate) => {
+                state.transmit_duplicated(sender, receiver)?;
+                2 * carried
+            }
+            Some(ByzantineStrategy::DropCarried) => {
+                state.transmit_voided(sender, receiver)?;
+                0
+            }
+            Some(ByzantineStrategy::Equivocate) => {
+                state.transmit_equivocated(sender, receiver, initial_data(sender))?;
+                1
+            }
+        };
+        self.units[receiver.index()] += delivered;
+        self.units[sender.index()] = 0;
+        self.receipts.record(Receipt {
+            time: t,
+            sender,
+            receiver,
+            carried_units: carried,
+            delivered_units: delivered,
+            corruption,
+        });
+        Ok(())
+    }
+
+    fn removed(&mut self, node: NodeId) {
+        self.units[node.index()] = 0;
+    }
+
+    fn admitted(&mut self, node: NodeId) {
+        self.units[node.index()] = 1;
     }
 }
 
@@ -2199,5 +2118,100 @@ mod tests {
         }
         assert_eq!(tally.transfers(), 7);
         assert_eq!(tally.delivered_units() + 2, tally.carried_units());
+    }
+
+    #[test]
+    fn receipts_track_the_unit_ledger_across_crash_departure_and_arrival() {
+        use crate::byzantine::{ByzantineInjector, ByzantineProfile, Receipt};
+        use crate::data::Count;
+        use crate::sequence::StepEvent;
+
+        struct Script(Vec<StepEvent>);
+        impl InteractionSource for Script {
+            fn node_count(&self) -> usize {
+                6
+            }
+            fn next_interaction(
+                &mut self,
+                _t: Time,
+                _v: &AdversaryView<'_>,
+            ) -> Option<Interaction> {
+                None
+            }
+            fn next_event(&mut self, t: Time, _v: &AdversaryView<'_>) -> Option<StepEvent> {
+                self.0.get(t as usize).copied()
+            }
+        }
+        let meet = |a, b| StepEvent::Interaction(Interaction::new(NodeId(a), NodeId(b)));
+        // Gathering: the larger id sends to the smaller one, anyone sends
+        // to the sink 0. Node 5 is the only liar and forges.
+        let mut script = Script(vec![
+            // t0: 2 -> 1, so node 1 carries 2 units.
+            meet(1, 2),
+            // t1: node 1 crashes with both units before transmitting.
+            StepEvent::Crash {
+                node: NodeId(1),
+                policy: CrashPolicy::DatumLost,
+            },
+            // t2: the liar 5 forges into 3, so node 3 carries 3 units.
+            meet(3, 5),
+            // t3: node 3 departs with its 3 units ...
+            StepEvent::Departure(NodeId(3)),
+            // t4: ... and arrives again carrying 1 fresh unit.
+            StepEvent::Arrival(NodeId(3)),
+            // t5: 4 -> 3, so node 3 carries 2 units.
+            meet(3, 4),
+            // t6: 3 -> sink, the last owner.
+            meet(0, 3),
+        ]);
+        let mut injector = (0..)
+            .map(|seed| {
+                ByzantineInjector::new(ByzantineProfile::forge(1.0 / 6.0), 6, NodeId(0), seed)
+                    .unwrap()
+            })
+            .find(|injector| injector.is_liar(NodeId(5)))
+            .unwrap();
+        assert_eq!(injector.liar_count(), 1);
+
+        let mut engine: Engine<Count> = Engine::new();
+        let mut receipts: Vec<Receipt> = Vec::new();
+        let stats = engine
+            .run_audited(
+                &mut Gathering::new(),
+                &mut script,
+                NodeId(0),
+                |_| Count::unit(),
+                EngineConfig::sweep(100),
+                &mut DiscardTransmissions,
+                &mut injector,
+                &mut receipts,
+            )
+            .unwrap();
+        assert_eq!(stats.termination_time, Some(6));
+        assert_eq!(
+            (
+                stats.faults.crashes,
+                stats.faults.departures,
+                stats.faults.arrivals
+            ),
+            (1, 1, 1)
+        );
+        let receipt = |time, sender, receiver, carried, delivered, corruption| Receipt {
+            time,
+            sender: NodeId(sender),
+            receiver: NodeId(receiver),
+            carried_units: carried,
+            delivered_units: delivered,
+            corruption,
+        };
+        assert_eq!(
+            receipts,
+            vec![
+                receipt(0, 2, 1, 1, 1, None),
+                receipt(2, 5, 3, 1, 2, Some(ByzantineStrategy::Forge)),
+                receipt(5, 4, 3, 1, 1, None),
+                receipt(6, 3, 0, 2, 2, None),
+            ]
+        );
     }
 }

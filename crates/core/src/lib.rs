@@ -97,9 +97,9 @@
 //! whole matching of disjoint edges is live at once. The [`round`] module
 //! generalises the streaming model to that setting: a
 //! [`round::RoundSource`] yields one validated [`Matching`] per round, and
-//! [`Engine::run_rounds`] applies each round as a batch against the
-//! preallocated state (disjointness makes batch application *exactly* the
-//! synchronous semantics). The interaction clock still ticks once per
+//! [`Engine::run_rounds`] fixes each round's matching at round start and
+//! applies its interactions in order (disjointness makes in-order
+//! application *exactly* the synchronous semantics). The interaction clock still ticks once per
 //! matched pair, so budgets and throughput mean the same thing in both
 //! models — and a stream of singleton rounds is byte-identical to the
 //! pairwise path (pinned by `tests/round_equivalence.rs`).

@@ -10,8 +10,8 @@
 //! * a [`RoundSource`] produces one matching per round, observing the same
 //!   adversary view as an [`InteractionSource`] (so round adversaries can
 //!   be adaptive);
-//! * [`crate::engine::Engine::run_rounds`] applies whole rounds against
-//!   the preallocated network state.
+//! * [`crate::engine::Engine::run_rounds`] plays the rounds through
+//!   [`FlattenedRounds`] on the engine's one event loop.
 //!
 //! Because the edges of a matching are disjoint, no node takes part in two
 //! interactions of the same round, so applying a round's interactions in
@@ -49,9 +49,9 @@ use crate::sequence::{AdversaryView, InteractionSource};
 ///
 /// Empty rounds are legal (an evolving-graph window may contain no edge)
 /// but consume no interaction budget, so an endless run of them would hang
-/// the engine; both [`FlattenedRounds`] and
-/// [`crate::engine::Engine::run_rounds`] share this bound, which keeps the
-/// two execution paths equivalent on streams that interleave empty rounds.
+/// the engine. [`FlattenedRounds`] applies this bound, and
+/// [`crate::engine::Engine::run_rounds`] runs through it, so every
+/// execution path treats an endless run of empty rounds alike.
 pub const MAX_CONSECUTIVE_EMPTY_ROUNDS: u64 = 65_536;
 
 /// A validated matching: a set of pairwise vertex-disjoint interactions
@@ -178,8 +178,8 @@ impl Matching {
     }
 
     /// Clears the matching and re-targets it to `n` nodes, retaining the
-    /// allocations where possible. The round engine resets one scratch
-    /// matching per round through this.
+    /// allocations where possible. [`FlattenedRounds`] resets its round
+    /// matching once per round through this.
     pub fn reset(&mut self, n: usize) {
         if n == self.n {
             self.clear();
@@ -304,10 +304,10 @@ impl<S: InteractionSource> RoundSource for SingletonRounds<S> {
 #[derive(Debug, Clone)]
 pub struct FlattenedRounds<R> {
     inner: R,
-    buffer: Vec<Interaction>,
+    /// The current round's matching, emitted from `cursor` on.
+    round: Matching,
     cursor: usize,
     rounds_pulled: Time,
-    scratch: Matching,
 }
 
 impl<R: RoundSource> FlattenedRounds<R> {
@@ -316,10 +316,9 @@ impl<R: RoundSource> FlattenedRounds<R> {
         let n = inner.node_count();
         FlattenedRounds {
             inner,
-            buffer: Vec::new(),
+            round: Matching::new(n),
             cursor: 0,
             rounds_pulled: 0,
-            scratch: Matching::new(n),
         }
     }
 
@@ -343,35 +342,31 @@ impl<R: RoundSource> InteractionSource for FlattenedRounds<R> {
         if t == 0 {
             // A fresh execution: a half-emitted round from a previous run
             // must not leak into this one.
-            self.buffer.clear();
-            self.cursor = 0;
+            self.round.clear();
             self.rounds_pulled = 0;
         }
         let mut consecutive_empty = 0u64;
         loop {
-            if self.cursor < self.buffer.len() {
-                let interaction = self.buffer[self.cursor];
+            if let Some(&interaction) = self.round.as_slice().get(self.cursor) {
                 self.cursor += 1;
                 return Some(interaction);
             }
-            self.scratch.reset(self.inner.node_count());
+            self.round.reset(self.inner.node_count());
+            self.cursor = 0;
             if !self
                 .inner
-                .next_round(self.rounds_pulled, view, &mut self.scratch)
+                .next_round(self.rounds_pulled, view, &mut self.round)
             {
+                self.round.clear();
                 return None;
             }
             self.rounds_pulled += 1;
-            if self.scratch.is_empty() {
+            if self.round.is_empty() {
                 consecutive_empty += 1;
                 if consecutive_empty >= MAX_CONSECUTIVE_EMPTY_ROUNDS {
                     return None;
                 }
-                continue;
             }
-            self.buffer.clear();
-            self.buffer.extend_from_slice(self.scratch.as_slice());
-            self.cursor = 0;
         }
     }
 }
@@ -622,6 +617,9 @@ mod tests {
             assert_eq!(flat.next_interaction(3, &view), None);
             assert_eq!(flat.rounds_pulled(), 2);
         }
+        // A run abandoned mid-round must not leak into the next one.
+        assert_eq!(flat.next_interaction(0, &view), Some(expected[0]));
+        assert_eq!(flat.next_interaction(0, &view), Some(expected[0]));
     }
 
     #[test]

@@ -114,7 +114,8 @@ pub enum ServiceError {
         spec: String,
     },
     /// The scenario/population combination is invalid (e.g. `n` below the
-    /// scenario's node floor).
+    /// scenario's node floor, or an externally-fed session over zero
+    /// nodes).
     InvalidScenario(String),
     /// The scenario's fault plan is invalid for the requested population.
     FaultConfig(FaultConfigError),

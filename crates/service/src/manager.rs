@@ -99,8 +99,9 @@ impl SessionManager {
     /// # Errors
     ///
     /// [`ServiceError::DuplicateSession`] if `id` is taken,
-    /// [`ServiceError::UnsupportedSpec`] if `spec` needs knowledge of the
-    /// future.
+    /// [`ServiceError::InvalidScenario`] if `n` is zero (a population
+    /// needs at least its sink), [`ServiceError::UnsupportedSpec`] if
+    /// `spec` needs knowledge of the future.
     pub fn open_external(
         &mut self,
         id: SessionId,

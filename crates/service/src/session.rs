@@ -332,6 +332,11 @@ impl Session {
         n: usize,
         config: &SessionConfig,
     ) -> Result<Self, ServiceError> {
+        if n == 0 {
+            return Err(ServiceError::InvalidScenario(
+                "an externally-fed session needs at least one node (the sink), got 0".to_string(),
+            ));
+        }
         let Some(algorithm) = spec.instantiate_online() else {
             return Err(ServiceError::UnsupportedSpec {
                 spec: spec.to_string(),

@@ -556,3 +556,64 @@ fn a_poisonous_tenant_cannot_wedge_the_endpoint() {
         WireResult::Error { message, .. } => panic!("late session failed: {message}"),
     }
 }
+
+#[test]
+fn an_empty_population_is_refused_and_a_single_node_runs() {
+    let mut manager = SessionManager::with_workers(1);
+    let config = SessionConfig::default();
+    let refused = manager.open_external(SessionId(1), AlgorithmSpec::Gathering, 0, &config);
+    assert!(
+        matches!(refused, Err(ServiceError::InvalidScenario(_))),
+        "n = 0 must be a typed error, got {refused:?}"
+    );
+    assert!(manager.is_empty());
+
+    // A lone sink is already aggregated.
+    manager
+        .open_external(SessionId(2), AlgorithmSpec::Gathering, 1, &config)
+        .expect("n = 1 is a valid population");
+    manager.close(SessionId(2)).expect("close");
+    manager.run_until_idle();
+    let (id, result) = manager.poll_result().expect("the lone sink's result");
+    assert_eq!(id, SessionId(2));
+    assert_eq!((result.n, result.termination_time), (1, Some(0)));
+    assert!(result.data_conserved);
+}
+
+#[test]
+fn an_empty_population_over_the_wire_leaves_the_endpoint_serving() {
+    let (client_end, service_end) = Loopback::pair();
+    let mut client = ServiceClient::new(client_end);
+    let mut service = ServiceEndpoint::new(SessionManager::with_workers(1), service_end);
+    let config = SessionConfig::default();
+
+    client
+        .open_external(SessionId(1), AlgorithmSpec::Gathering, 0, &config)
+        .expect("send");
+    service
+        .run_until_idle()
+        .expect("a zero-node open must not error the endpoint");
+    match client.poll_result().expect("decode") {
+        Some(WireResult::Error { session, .. }) => assert_eq!(session, SessionId(1)),
+        other => panic!("expected an error frame for session 1, got {other:?}"),
+    }
+
+    // The endpoint keeps serving: a healthy session opened afterwards
+    // runs to its result.
+    client
+        .open_scenario(
+            SessionId(2),
+            AlgorithmSpec::Gathering,
+            Scenario::Uniform,
+            8,
+            5,
+            &config,
+        )
+        .expect("send");
+    service.run_until_idle().expect("serve");
+    match client.poll_result().expect("decode") {
+        Some(WireResult::Result { session, .. }) => assert_eq!(session, SessionId(2)),
+        other => panic!("expected session 2's result, got {other:?}"),
+    }
+    assert!(client.poll_result().expect("decode").is_none());
+}

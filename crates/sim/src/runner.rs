@@ -1,10 +1,11 @@
-//! Multi-trial batches.
+//! Multi-trial batches: the batch shape ([`BatchConfig`]), its summary
+//! ([`BatchResult`]), and the sharding skeleton behind [`Sweep`].
 //!
 //! A batch fixes an algorithm, a node count and a trial count; each trial
 //! draws an independent interaction stream from a workload or scenario (by
 //! default the uniform randomized adversary — the paper's Section 4
 //! setting), runs the algorithm, and the batch summarises the interaction
-//! counts.
+//! counts ([`Sweep::run_summarized`]).
 //!
 //! # Streaming-first execution
 //!
@@ -13,7 +14,7 @@
 //! time from a seeded source, so a sweep's memory footprint is `O(n)`
 //! regardless of the horizon, and adaptive adversaries (which cannot be
 //! pre-generated at all) sweep through the exact same machinery
-//! ([`run_scenario_trials`]). Knowledge-based algorithms materialise each
+//! ([`Sweep::scenario`]). Knowledge-based algorithms materialise each
 //! trial's sequence into a per-worker scratch buffer first, because their
 //! oracles are functions of the future. Both paths produce byte-identical
 //! results for the same seed, enforced by `tests/determinism.rs` and the
@@ -32,17 +33,17 @@
 //! it, serial and parallel runs of the same [`BatchConfig`] produce
 //! **identical** [`BatchResult`]s and raw [`TrialResult`]s, byte for byte.
 //!
+//! [`Sweep`]: crate::sweep::Sweep
+//! [`Sweep::run_summarized`]: crate::sweep::Sweep::run_summarized
+//! [`Sweep::scenario`]: crate::sweep::Sweep::scenario
 //! [`TrialRunner`]: crate::trial::TrialRunner
 //! [`InteractionSequence`]: doda_core::InteractionSequence
 
 use std::ops::Range;
 
 use doda_stats::Summary;
-use doda_workloads::{UniformWorkload, Workload};
 
-use crate::scenario::FaultedScenario;
 use crate::spec::AlgorithmSpec;
-use crate::sweep::Sweep;
 use crate::trial::TrialResult;
 
 /// Configuration of a batch of independent randomized-adversary trials.
@@ -138,80 +139,6 @@ where
     }
 }
 
-/// Runs `config.trials` independent trials of `spec`, each over a fresh
-/// interaction stream drawn from `workload`, and returns the raw per-trial
-/// results in trial-index order.
-///
-/// **Deprecation note:** this is a thin wrapper over the unified sweep
-/// builder — [`Sweep::workload`] with [`Sweep::config`] — kept so existing
-/// call sites migrate without churn. New code should use [`Sweep`], which
-/// additionally exposes the execution tier
-/// ([`crate::sweep::ExecutionTier`]) and lane width.
-///
-/// # Panics
-///
-/// Panics if `workload.node_count() != config.n`, or if a worker thread
-/// panics.
-#[deprecated(note = "use Sweep")]
-pub fn run_trials<W>(spec: AlgorithmSpec, workload: &W, config: &BatchConfig) -> Vec<TrialResult>
-where
-    W: Workload + Sync + ?Sized,
-{
-    Sweep::workload(spec, &workload).config(config).run()
-}
-
-/// Runs `config.trials` independent trials of `spec` against `scenario` —
-/// the scenario-registry counterpart of [`run_trials`], covering the
-/// adversaries (oblivious trap, weighted, **adaptive**) alongside the
-/// synthetic workloads, and — through the [`FaultedScenario`] axis — any
-/// of them with a fault plan layered on top (a plain
-/// [`crate::scenario::Scenario`] converts implicitly, fault-free).
-///
-/// Adaptive scenarios construct a fresh live adversary per trial and run
-/// it streamed through the same sharded machinery; serial and parallel
-/// runs remain byte-identical because the adversary's decisions depend
-/// only on its own trial's execution. Fault plans preserve that: trial
-/// `i` derives its fault-stream seed from its own trial seed, no matter
-/// which worker executes it. On the materialising path the per-worker
-/// scratch sequence is filled from the **base** stream (oracles describe
-/// the committed schedule, not the faults) and the plan is injected at
-/// execution time.
-///
-/// **Round scenarios** ([`crate::scenario::Scenario::is_round`]) run
-/// their fault-free knowledge-free trials through the engine's native
-/// batched round path ([`crate::trial::TrialRunner::run_rounds`]); faulted and
-/// materialising trials consume the flattened round stream instead (the
-/// fault layer and the oracles are pairwise constructs). The round and
-/// flattened paths are byte-identical on any round stream — pinned by
-/// `tests/round_equivalence.rs` — so the routing never changes a number.
-///
-/// **Deprecation note:** this is a thin wrapper over the unified sweep
-/// builder — [`Sweep::scenario`] with [`Sweep::config`] — kept so existing
-/// call sites migrate without churn. New code should use [`Sweep`], which
-/// additionally exposes the execution tier
-/// ([`crate::sweep::ExecutionTier`]) and lane width. The automatic
-/// routing described above is exactly [`Sweep`]'s
-/// [`Auto`](crate::sweep::ExecutionTier::Auto) tier.
-///
-/// # Panics
-///
-/// Panics if `spec` requires materialisation and `scenario` is adaptive
-/// (an adaptive adversary's stream depends on the execution, so no
-/// faithful sequence exists to build oracles from — check
-/// [`FaultedScenario::supports`] first), if the fault plan is invalid for
-/// `config.n` (the typed [`doda_core::fault::FaultConfigError`] is the
-/// panic message — check [`FaultedScenario::validate`] first), if
-/// `config.n` is below [`FaultedScenario::min_nodes`], or if a worker
-/// thread panics.
-#[deprecated(note = "use Sweep")]
-pub fn run_scenario_trials(
-    spec: AlgorithmSpec,
-    scenario: impl Into<FaultedScenario>,
-    config: &BatchConfig,
-) -> Vec<TrialResult> {
-    Sweep::scenario(spec, scenario).config(config).run()
-}
-
 /// Summarises raw trial results into a [`BatchResult`].
 ///
 /// # Panics
@@ -246,44 +173,13 @@ pub(crate) fn summarize(
     }
 }
 
-/// Runs a batch against the uniform randomized adversary and returns its
-/// summary together with the raw per-trial results.
-///
-/// **Deprecation note:** prefer [`Sweep::scenario`] with
-/// [`crate::scenario::Scenario::Uniform`] and [`Sweep::run_summarized`];
-/// this wrapper is kept for existing call sites.
-///
-/// # Panics
-///
-/// Panics if every trial fails to terminate (no summary can be formed); in
-/// practice this means the horizon was far too small for the algorithm.
-#[deprecated(note = "use Sweep")]
-pub fn run_batch_detailed(
-    spec: AlgorithmSpec,
-    config: &BatchConfig,
-) -> (BatchResult, Vec<TrialResult>) {
-    let workload = UniformWorkload::new(config.n);
-    let results = Sweep::workload(spec, &workload).config(config).run();
-    (summarize(spec, config, &results), results)
-}
-
-/// Runs a batch and returns only its summary.
-#[deprecated(note = "use Sweep")]
-pub fn run_batch(spec: AlgorithmSpec, config: &BatchConfig) -> BatchResult {
-    #[allow(deprecated)]
-    run_batch_detailed(spec, config).0
-}
-
 #[cfg(test)]
 mod tests {
-    // The deprecated wrappers stay under test until they are removed:
-    // these tests pin that each one still matches its `Sweep` equivalent.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::scenario::Scenario;
+    use crate::scenario::{FaultedScenario, Scenario};
+    use crate::sweep::Sweep;
     use doda_core::fault::FaultProfile;
-    use doda_workloads::ZipfWorkload;
+    use doda_workloads::{UniformWorkload, ZipfWorkload};
 
     fn config(n: usize, trials: usize, parallel: bool) -> BatchConfig {
         BatchConfig {
@@ -295,9 +191,25 @@ mod tests {
         }
     }
 
+    /// A scenario sweep shaped by `config`.
+    fn sweep(
+        spec: AlgorithmSpec,
+        scenario: impl Into<FaultedScenario>,
+        config: &BatchConfig,
+    ) -> Vec<TrialResult> {
+        Sweep::scenario(spec, scenario).config(config).run()
+    }
+
+    /// A summarised batch against the uniform randomized adversary.
+    fn uniform_batch(spec: AlgorithmSpec, config: &BatchConfig) -> (BatchResult, Vec<TrialResult>) {
+        Sweep::workload(spec, &UniformWorkload::new(config.n))
+            .config(config)
+            .run_summarized()
+    }
+
     #[test]
     fn sequential_batch_summarises_trials() {
-        let (result, raw) = run_batch_detailed(AlgorithmSpec::Gathering, &config(12, 8, false));
+        let (result, raw) = uniform_batch(AlgorithmSpec::Gathering, &config(12, 8, false));
         assert_eq!(result.trials, 8);
         assert_eq!(result.completed, 8);
         assert_eq!(raw.len(), 8);
@@ -308,15 +220,15 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_agree() {
-        let sequential = run_batch_detailed(AlgorithmSpec::Gathering, &config(10, 6, false));
-        let parallel = run_batch_detailed(AlgorithmSpec::Gathering, &config(10, 6, true));
+        let sequential = uniform_batch(AlgorithmSpec::Gathering, &config(10, 6, false));
+        let parallel = uniform_batch(AlgorithmSpec::Gathering, &config(10, 6, true));
         // Same seeds per trial index regardless of sharding, so both the
         // summary and the raw per-trial results are identical.
         assert_eq!(sequential, parallel);
     }
 
     #[test]
-    fn run_trials_supports_non_uniform_workloads_without_panicking() {
+    fn workload_sweeps_run_non_uniform_workloads_without_panicking() {
         let cfg = BatchConfig {
             n: 10,
             trials: 4,
@@ -325,16 +237,20 @@ mod tests {
             parallel: false,
         };
         let workload = ZipfWorkload::new(10, 1.2);
-        let raw = run_trials(AlgorithmSpec::Waiting, &workload, &cfg);
+        let raw = Sweep::workload(AlgorithmSpec::Waiting, &workload)
+            .config(&cfg)
+            .run();
         assert_eq!(raw.len(), 4);
         assert!(raw.iter().all(|r| !r.terminated()));
     }
 
     #[test]
     #[should_panic(expected = "workload is over")]
-    fn run_trials_rejects_mismatched_node_counts() {
+    fn workload_sweeps_reject_mismatched_node_counts() {
         let workload = ZipfWorkload::new(8, 1.2);
-        let _ = run_trials(AlgorithmSpec::Waiting, &workload, &config(10, 2, false));
+        let _ = Sweep::workload(AlgorithmSpec::Waiting, &workload)
+            .config(&config(10, 2, false))
+            .run();
     }
 
     #[test]
@@ -346,9 +262,8 @@ mod tests {
             seed: 9,
             parallel: false,
         };
-        let serial =
-            run_scenario_trials(AlgorithmSpec::Gathering, Scenario::AdaptiveIsolator, &cfg);
-        let parallel = run_scenario_trials(
+        let serial = sweep(AlgorithmSpec::Gathering, Scenario::AdaptiveIsolator, &cfg);
+        let parallel = sweep(
             AlgorithmSpec::Gathering,
             Scenario::AdaptiveIsolator,
             &BatchConfig {
@@ -359,7 +274,7 @@ mod tests {
         assert_eq!(serial, parallel);
         assert!(serial.iter().all(|r| r.terminated() && r.data_conserved));
         // The same adversary starves Waiting for the whole horizon.
-        let waiting = run_scenario_trials(AlgorithmSpec::Waiting, Scenario::AdaptiveIsolator, &cfg);
+        let waiting = sweep(AlgorithmSpec::Waiting, Scenario::AdaptiveIsolator, &cfg);
         assert!(waiting.iter().all(|r| !r.terminated()));
         assert!(waiting.iter().all(|r| r.interactions_processed == 4_000));
     }
@@ -373,20 +288,15 @@ mod tests {
             seed: 4,
             parallel: false,
         };
-        let raw = run_scenario_trials(
-            AlgorithmSpec::WaitingGreedy { tau: None },
-            Scenario::Uniform,
-            &cfg,
-        );
+        let spec = AlgorithmSpec::WaitingGreedy { tau: None };
+        let raw = sweep(spec, Scenario::Uniform, &cfg);
         assert_eq!(raw.len(), 3);
         assert!(raw.iter().all(|r| r.terminated()));
         // The scenario and workload views of "uniform" are the same process:
         // identical seeds produce identical trials.
-        let via_workload = run_trials(
-            AlgorithmSpec::WaitingGreedy { tau: None },
-            &UniformWorkload::new(10),
-            &cfg,
-        );
+        let via_workload = Sweep::workload(spec, &UniformWorkload::new(10))
+            .config(&cfg)
+            .run();
         assert_eq!(raw, via_workload);
     }
 
@@ -404,8 +314,8 @@ mod tests {
             AlgorithmSpec::WaitingGreedy { tau: None },
         ] {
             let scenario = Scenario::Uniform.with_faults(FaultProfile::crash(0.002));
-            let serial = run_scenario_trials(spec, scenario, &cfg);
-            let parallel = run_scenario_trials(
+            let serial = sweep(spec, scenario, &cfg);
+            let parallel = sweep(
                 spec,
                 scenario,
                 &BatchConfig {
@@ -432,8 +342,8 @@ mod tests {
             Scenario::Tournament,
             Scenario::IntervalConnected { t: 8 },
         ] {
-            let serial = run_scenario_trials(AlgorithmSpec::Gathering, scenario, &cfg);
-            let parallel = run_scenario_trials(
+            let serial = sweep(AlgorithmSpec::Gathering, scenario, &cfg);
+            let parallel = sweep(
                 AlgorithmSpec::Gathering,
                 scenario,
                 &BatchConfig {
@@ -448,7 +358,7 @@ mod tests {
             );
         }
         // The sink-unmatched round trap starves even Gathering.
-        let starved = run_scenario_trials(AlgorithmSpec::Gathering, Scenario::RoundIsolator, &cfg);
+        let starved = sweep(AlgorithmSpec::Gathering, Scenario::RoundIsolator, &cfg);
         assert!(starved
             .iter()
             .all(|r| !r.terminated() && r.interactions_processed == 6_000));
@@ -464,8 +374,8 @@ mod tests {
             parallel: false,
         };
         let scenario = Scenario::RandomMatching.with_faults(FaultProfile::lossy(0.2));
-        let serial = run_scenario_trials(AlgorithmSpec::Gathering, scenario, &cfg);
-        let parallel = run_scenario_trials(
+        let serial = sweep(AlgorithmSpec::Gathering, scenario, &cfg);
+        let parallel = sweep(
             AlgorithmSpec::Gathering,
             scenario,
             &BatchConfig {
@@ -481,8 +391,8 @@ mod tests {
     #[test]
     fn fault_free_faulted_scenario_reproduces_the_plain_scenario() {
         let cfg = config(10, 5, false);
-        let plain = run_scenario_trials(AlgorithmSpec::Gathering, Scenario::Uniform, &cfg);
-        let wrapped = run_scenario_trials(
+        let plain = sweep(AlgorithmSpec::Gathering, Scenario::Uniform, &cfg);
+        let wrapped = sweep(
             AlgorithmSpec::Gathering,
             FaultedScenario::from(Scenario::Uniform),
             &cfg,
@@ -498,14 +408,14 @@ mod tests {
             min_live: 1,
             ..FaultProfile::churn(0.5, 0.0)
         });
-        let _ = run_scenario_trials(AlgorithmSpec::Gathering, bad, &config(8, 2, false));
+        let _ = sweep(AlgorithmSpec::Gathering, bad, &config(8, 2, false));
     }
 
     #[test]
     #[should_panic(expected = "is adaptive")]
     fn scenario_sweep_rejects_oracles_over_adaptive_streams() {
         let cfg = config(10, 2, false);
-        let _ = run_scenario_trials(
+        let _ = sweep(
             AlgorithmSpec::OfflineOptimal,
             Scenario::AdaptiveIsolator,
             &cfg,
@@ -515,9 +425,9 @@ mod tests {
     #[test]
     fn ordering_offline_fastest_waiting_slowest() {
         let cfg = config(16, 6, false);
-        let offline = run_batch(AlgorithmSpec::OfflineOptimal, &cfg);
-        let gathering = run_batch(AlgorithmSpec::Gathering, &cfg);
-        let waiting = run_batch(AlgorithmSpec::Waiting, &cfg);
+        let offline = uniform_batch(AlgorithmSpec::OfflineOptimal, &cfg).0;
+        let gathering = uniform_batch(AlgorithmSpec::Gathering, &cfg).0;
+        let waiting = uniform_batch(AlgorithmSpec::Waiting, &cfg).0;
         assert!(offline.interactions.mean < gathering.interactions.mean);
         assert!(gathering.interactions.mean < waiting.interactions.mean);
     }
@@ -532,7 +442,7 @@ mod tests {
             parallel: false,
         };
         assert_eq!(cfg.horizon_len(), 2_000);
-        let result = run_batch(AlgorithmSpec::Gathering, &cfg);
+        let result = uniform_batch(AlgorithmSpec::Gathering, &cfg).0;
         assert_eq!(result.completed, 3);
     }
 
@@ -546,6 +456,6 @@ mod tests {
             seed: 1,
             parallel: false,
         };
-        let _ = run_batch(AlgorithmSpec::Waiting, &cfg);
+        let _ = uniform_batch(AlgorithmSpec::Waiting, &cfg);
     }
 }

@@ -5,7 +5,7 @@
 //! generators of `doda-workloads` *and* the adversaries of
 //! `doda-adversary` (weighted randomized, the oblivious star-then-ring
 //! trap, and the sweepable online **adaptive** isolator). Every consumer —
-//! the sharded batch runner ([`crate::runner::run_scenario_trials`]), the
+//! the sharded batch runner ([`crate::sweep::Sweep::scenario`]), the
 //! `doda-bench` perf grid, the experiment harness and the examples —
 //! enumerates the same registry instead of hand-wiring its own list of
 //! generators.
@@ -522,7 +522,7 @@ impl FaultedScenario {
 
     /// A seeded streaming source with the fault plan already applied —
     /// the composite view for direct engine use (sweeps go through
-    /// [`crate::runner::run_scenario_trials`], which injects faults per
+    /// [`crate::sweep::Sweep::scenario`], which injects faults per
     /// trial instead).
     ///
     /// # Panics

@@ -1,13 +1,12 @@
 //! The unified sweep builder — one entry point for every batch shape.
 //!
-//! Before this module, the sweep surface was split three ways:
-//! [`crate::runner::run_trials`] for workloads,
-//! [`crate::runner::run_scenario_trials`] for the scenario registry, and
-//! direct [`TrialRunner`] calls for anyone needing the round or streamed
-//! path explicitly — with the execution-path choice (streamed vs
-//! materialised vs native rounds) buried inside each function. The lane
-//! tier made that split untenable: a fourth path cannot be wedged into
-//! three entry points.
+//! Before this module, the sweep surface was split three ways: one
+//! function for workloads, one for the scenario registry, and direct
+//! [`TrialRunner`] calls for anyone needing the round or streamed path
+//! explicitly — with the execution-path choice (streamed vs materialised
+//! vs native rounds) buried inside each function. The lane tier made that
+//! split untenable: a fourth path cannot be wedged into three entry
+//! points.
 //!
 //! [`Sweep`] collapses the surface into one builder over the full cross
 //! product — interaction family (scenario or workload) × algorithm ×
@@ -304,7 +303,7 @@ impl<'a> Sweep<'a> {
     }
 
     /// Copies the batch shape (`n`, `trials`, `horizon`, `seed`,
-    /// `parallel`) from a legacy [`BatchConfig`].
+    /// `parallel`) from a [`BatchConfig`].
     pub fn config(self, config: &BatchConfig) -> Self {
         self.n(config.n)
             .trials(config.trials)
@@ -351,14 +350,8 @@ impl<'a> Sweep<'a> {
     /// workload sweep whose explicit `n` mismatches the workload — and if
     /// a worker thread panics.
     pub fn run(&self) -> Vec<TrialResult> {
-        // The default kind keeps the original monomorphic path: existing
-        // sweeps compile to exactly the code they ran before aggregates
-        // became selectable.
         match self.aggregate {
-            AggregateKind::IdSet => match self.family {
-                Family::Scenario(scenario) => self.run_scenario(scenario),
-                Family::Workload(workload) => self.run_workload(workload),
-            },
+            AggregateKind::IdSet => self.run_family(&ExactOrigins),
             AggregateKind::Count => self.run_family(&CountFamily),
             AggregateKind::Sum => self.run_family(&SumFamily::new(self.seed)),
             AggregateKind::Min => self.run_family(&MinFamily::new(self.seed)),
@@ -368,11 +361,11 @@ impl<'a> Sweep<'a> {
         }
     }
 
-    /// Runs a non-default datum family through the generic trial surface.
+    /// Runs the sweep with `datum` seeding every node.
     fn run_family<D: DatumFamily>(&self, datum: &D) -> Vec<TrialResult> {
         match self.family {
-            Family::Scenario(scenario) => self.run_scenario_with(scenario, datum),
-            Family::Workload(workload) => self.run_workload_with(workload, datum),
+            Family::Scenario(scenario) => self.run_scenario(scenario, datum),
+            Family::Workload(workload) => self.run_workload(workload, datum),
         }
     }
 
@@ -600,150 +593,11 @@ impl<'a> Sweep<'a> {
         }
     }
 
-    fn run_scenario(&self, scenario: FaultedScenario) -> Vec<TrialResult> {
-        let scenario = self.effective_scenario(scenario);
-        assert!(
-            scenario.supports(self.spec),
-            "scenario '{scenario}' is adaptive: {} requires {} knowledge, which would \
-             need materialising a stream that depends on the execution itself",
-            self.spec,
-            self.spec.knowledge()
-        );
-        let n = self.resolved_n();
-        // A fault plan that could strand the execution below two live
-        // nodes must be a typed error before any trial runs — never a hang.
-        scenario
-            .validate(n)
-            .unwrap_or_else(|e| panic!("invalid fault plan for scenario '{scenario}': {e}"));
-        scenario
-            .validate_byzantine()
-            .unwrap_or_else(|e| panic!("invalid byzantine plan for scenario '{scenario}': {e}"));
-        let seeds = SeedSequence::new(self.seed);
-        let horizon = self.horizon_len(n);
-        let spec = self.spec;
-
-        match self.resolve_scenario_path(&scenario) {
-            Path::Materialized => self.run_committed_sharded(
-                horizon,
-                &ExactOrigins,
-                |trial_seed| scenario.base.source(n, trial_seed),
-                |trial_seed| TrialConfig {
-                    fault: scenario.fault_injection(trial_seed),
-                    byzantine: scenario.byzantine_injection(trial_seed),
-                    ..TrialConfig::default()
-                },
-            ),
-            Path::Streamed => shard(self.trials, self.parallel, |range| {
-                let mut runner = TrialRunner::new();
-                let mut results = Vec::with_capacity(range.len());
-                for trial in range {
-                    let trial_seed = seeds.seed(trial as u64);
-                    let trial_config = TrialConfig {
-                        max_interactions: Some(horizon as u64),
-                        fault: scenario.fault_injection(trial_seed),
-                        byzantine: scenario.byzantine_injection(trial_seed),
-                        ..TrialConfig::default()
-                    };
-                    let mut source = scenario.base.source(n, trial_seed);
-                    results.push(runner.run_streamed(spec, source.as_mut(), &trial_config));
-                }
-                results
-            }),
-            Path::Rounds => shard(self.trials, self.parallel, |range| {
-                let mut runner = TrialRunner::new();
-                let mut results = Vec::with_capacity(range.len());
-                let trial_config = TrialConfig {
-                    max_interactions: Some(horizon as u64),
-                    ..TrialConfig::default()
-                };
-                for trial in range {
-                    let trial_seed = seeds.seed(trial as u64);
-                    let mut rounds = scenario
-                        .base
-                        .round_source(n, trial_seed)
-                        .expect("the round path only resolves for round scenarios");
-                    results.push(runner.run_rounds(spec, rounds.as_mut(), &trial_config));
-                }
-                results
-            }),
-            Path::Lanes => {
-                self.run_lanes_sharded(horizon, |trial_seed| scenario.base.source(n, trial_seed))
-            }
-            Path::Hierarchical => {
-                let k = self
-                    .cluster_size
-                    .unwrap_or_else(|| (n as f64).sqrt().ceil() as usize)
-                    .max(1);
-                shard(self.trials, self.parallel, |range| {
-                    let mut runner = TrialRunner::new();
-                    let mut results = Vec::with_capacity(range.len());
-                    let trial_config = TrialConfig {
-                        max_interactions: Some(horizon as u64),
-                        ..TrialConfig::default()
-                    };
-                    for trial in range {
-                        let trial_seed = seeds.seed(trial as u64);
-                        results.push(runner.run_hierarchical(
-                            spec,
-                            &scenario.base,
-                            n,
-                            k,
-                            trial_seed,
-                            &trial_config,
-                        ));
-                    }
-                    results
-                })
-            }
-        }
-    }
-
-    fn run_workload(&self, workload: &(dyn Workload + Sync)) -> Vec<TrialResult> {
-        let n = self.resolved_n();
-        let seeds = SeedSequence::new(self.seed);
-        let horizon = self.horizon_len(n);
-        let spec = self.spec;
-
-        match self.resolve_workload_path() {
-            Path::Materialized => self.run_committed_sharded(
-                horizon,
-                &ExactOrigins,
-                |trial_seed| workload.source(trial_seed),
-                |trial_seed| TrialConfig {
-                    byzantine: self.workload_byzantine_injection(trial_seed),
-                    ..TrialConfig::default()
-                },
-            ),
-            Path::Streamed => shard(self.trials, self.parallel, |range| {
-                let mut runner = TrialRunner::new();
-                let mut results = Vec::with_capacity(range.len());
-                for trial in range {
-                    let trial_seed = seeds.seed(trial as u64);
-                    let trial_config = TrialConfig {
-                        max_interactions: Some(horizon as u64),
-                        byzantine: self.workload_byzantine_injection(trial_seed),
-                        ..TrialConfig::default()
-                    };
-                    let mut source = workload.source(trial_seed);
-                    results.push(runner.run_streamed(spec, source.as_mut(), &trial_config));
-                }
-                results
-            }),
-            Path::Lanes => {
-                self.run_lanes_sharded(horizon, |trial_seed| workload.source(trial_seed))
-            }
-            Path::Rounds => unreachable!("resolve_workload_path rejects the round tier"),
-            Path::Hierarchical => {
-                unreachable!("resolve_workload_path rejects the hierarchical tier")
-            }
-        }
-    }
-
-    /// [`Sweep::run_scenario`] for a non-default datum family: identical
-    /// resolution and seeding, with the lane path demoted to streamed
-    /// ([`Sweep::demote_lanes`]) and every trial routed through the
-    /// generic `_with` surface of [`TrialRunner`].
-    fn run_scenario_with<D: DatumFamily>(
+    /// The scenario driver: validates the plan, resolves the tier (lanes
+    /// demoted to streamed for non-default aggregates,
+    /// [`Sweep::demote_lanes`]), and runs every trial through the generic
+    /// `_with` surface of [`TrialRunner`].
+    fn run_scenario<D: DatumFamily>(
         &self,
         scenario: FaultedScenario,
         datum: &D,
@@ -757,6 +611,8 @@ impl<'a> Sweep<'a> {
             self.spec.knowledge()
         );
         let n = self.resolved_n();
+        // A fault plan that could strand the execution below two live
+        // nodes must be a typed error before any trial runs — never a hang.
         scenario
             .validate(n)
             .unwrap_or_else(|e| panic!("invalid fault plan for scenario '{scenario}': {e}"));
@@ -822,7 +678,7 @@ impl<'a> Sweep<'a> {
                 results
             }),
             Path::Lanes => {
-                unreachable!("demote_lanes rejects the lane tier for non-default aggregates")
+                self.run_lanes_sharded(horizon, |trial_seed| scenario.base.source(n, trial_seed))
             }
             Path::Hierarchical => {
                 let k = self
@@ -854,9 +710,8 @@ impl<'a> Sweep<'a> {
         }
     }
 
-    /// [`Sweep::run_workload`] for a non-default datum family; see
-    /// [`Sweep::run_scenario_with`].
-    fn run_workload_with<D: DatumFamily>(
+    /// The workload driver; see [`Sweep::run_scenario`].
+    fn run_workload<D: DatumFamily>(
         &self,
         workload: &(dyn Workload + Sync),
         datum: &D,
@@ -897,7 +752,7 @@ impl<'a> Sweep<'a> {
                 results
             }),
             Path::Lanes => {
-                unreachable!("demote_lanes rejects the lane tier for non-default aggregates")
+                self.run_lanes_sharded(horizon, |trial_seed| workload.source(trial_seed))
             }
             Path::Rounds => unreachable!("resolve_workload_path rejects the round tier"),
             Path::Hierarchical => {
@@ -1070,23 +925,6 @@ mod tests {
             .run();
         assert_eq!(auto, pinned);
         assert_eq!(auto, scalar);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn summaries_match_the_legacy_runner() {
-        let config = BatchConfig {
-            n: 12,
-            trials: 6,
-            horizon: None,
-            seed: 42,
-            parallel: false,
-        };
-        let (summary, raw) = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
-            .config(&config)
-            .run_summarized();
-        let legacy = crate::runner::run_batch_detailed(AlgorithmSpec::Gathering, &config);
-        assert_eq!((summary, raw), legacy);
     }
 
     #[test]
