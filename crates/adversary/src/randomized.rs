@@ -9,8 +9,8 @@
 use doda_core::sequence::{AdversaryView, InteractionSource};
 use doda_core::{Interaction, InteractionSequence, Time};
 use doda_graph::NodeId;
-use doda_stats::rng::{seeded_rng, DodaRng};
-use rand::Rng;
+use doda_stats::rng::{seeded_rng, DodaRng, Modulus};
+use rand::RngCore;
 
 /// The uniform randomized adversary over `n ≥ 2` nodes.
 ///
@@ -19,10 +19,17 @@ use rand::Rng;
 /// [`RandomizedAdversary::generate_sequence`], which is what the
 /// knowledge-based algorithms (Waiting Greedy, offline optimal) need in
 /// order to build their oracles.
+///
+/// Each pair costs two 64-bit draws, reduced modulo `n` and `n − 1`
+/// without a hardware division ([`Modulus`]).
 #[derive(Debug, Clone)]
 pub struct RandomizedAdversary {
     n: usize,
     rng: DodaRng,
+    /// Reduction modulo `n`: the first endpoint.
+    nodes: Modulus,
+    /// Reduction modulo `n − 1`: the second endpoint, among the others.
+    others: Modulus,
 }
 
 impl RandomizedAdversary {
@@ -39,17 +46,24 @@ impl RandomizedAdversary {
         RandomizedAdversary {
             n,
             rng: seeded_rng(seed),
+            nodes: Modulus::new(n as u64),
+            others: Modulus::new(n as u64 - 1),
         }
     }
 
     /// Draws one uniformly random pair of distinct nodes.
+    ///
+    /// The first endpoint is `x % n`, the second `y % (n − 1)` shifted
+    /// past the first, for the next two 64-bit draws `x`, `y`. Sorting the
+    /// endpoints with branch-free min/max before [`Interaction::new`]
+    /// keeps its normalisation branch (50/50 on random pairs) always
+    /// untaken.
+    #[inline(always)]
     pub fn draw(&mut self) -> Interaction {
-        let a = self.rng.gen_range(0..self.n);
-        let mut b = self.rng.gen_range(0..self.n - 1);
-        if b >= a {
-            b += 1;
-        }
-        Interaction::new(NodeId(a), NodeId(b))
+        let a = self.nodes.reduce(self.rng.next_u64());
+        let raw = self.others.reduce(self.rng.next_u64());
+        let b = raw + u64::from(raw >= a);
+        Interaction::new(NodeId(a.min(b) as usize), NodeId(a.max(b) as usize))
     }
 
     /// Materialises a finite sequence of `len` uniformly random
@@ -82,6 +96,19 @@ impl InteractionSource for RandomizedAdversary {
 
     fn next_interaction(&mut self, _t: Time, _view: &AdversaryView<'_>) -> Option<Interaction> {
         Some(self.draw())
+    }
+
+    // The lane engine and `fill_from` pull oblivious sources in batches;
+    // the sized `extend` reserves once instead of growth-checking every
+    // push.
+    fn next_interaction_batch(
+        &mut self,
+        _t0: Time,
+        _view: &AdversaryView<'_>,
+        out: &mut Vec<Interaction>,
+        max: usize,
+    ) {
+        out.extend((0..max).map(|_| self.draw()));
     }
 }
 

@@ -163,6 +163,32 @@ pub struct TrialResult {
 }
 
 impl TrialResult {
+    /// Packages a run's counters, the family's conservation check and the
+    /// sink's summary: every tier builds its result here. `verdict` starts
+    /// empty; audited runs fill it in.
+    fn new(
+        spec: AlgorithmSpec,
+        stats: RunStats,
+        data_conserved: bool,
+        cost: Option<Cost>,
+        aggregate: Option<AggregateSummary>,
+    ) -> Self {
+        TrialResult {
+            algorithm: spec.label().to_string(),
+            n: stats.node_count,
+            termination_time: stats.termination_time,
+            interactions_processed: stats.interactions_processed,
+            transmissions: stats.transmissions as usize,
+            ignored_decisions: stats.ignored_decisions,
+            data_conserved,
+            completion: stats.completion,
+            faults: stats.faults,
+            cost,
+            aggregate,
+            verdict: None,
+        }
+    }
+
     /// Returns `true` if the aggregation completed.
     pub fn terminated(&self) -> bool {
         self.termination_time.is_some()
@@ -242,22 +268,22 @@ impl<A: Aggregate> TrialRunner<A> {
             // Spanning tree over a disconnected underlying graph: no
             // algorithm could aggregate on this sequence; report a
             // non-terminated trial.
-            return TrialResult {
-                algorithm: spec.label().to_string(),
-                n,
+            let stats = RunStats {
+                node_count: n,
+                sink,
                 termination_time: None,
                 interactions_processed: 0,
                 transmissions: 0,
                 ignored_decisions: 0,
-                data_conserved: false,
+                remaining_owners: n,
                 completion: Completion::Starved,
                 faults: FaultTally::default(),
-                cost: None,
-                aggregate: None,
-                // No interaction ever ran, so an audited trial's ledger is
-                // trivially clean (byzantine plan ⇒ Some verdict, always).
-                verdict: config.byzantine.map(|_| Verdict::Clean),
             };
+            let mut result = TrialResult::new(spec, stats, false, None, None);
+            // No interaction ever ran, so an audited trial's ledger is
+            // trivially clean (byzantine plan ⇒ Some verdict, always).
+            result.verdict = config.byzantine.map(|_| Verdict::Clean);
+            return result;
         };
         let (stats, verdict) = self.execute(
             algorithm.as_mut(),
@@ -813,9 +839,11 @@ impl<A: Aggregate> TrialRunner<A> {
         let data_conserved =
             all_terminated && sink_data.is_some_and(|data| family.conserved(data, n));
         let aggregate = sink_data.and_then(|data| family.summary(data));
-        TrialResult {
-            algorithm: spec.label().to_string(),
-            n,
+        // The trial's counters total every phase's; the owner count is
+        // the final phase's.
+        let stats = RunStats {
+            node_count: n,
+            sink,
             // Phases run back to back on one interaction clock: the
             // trial's termination index is the last interaction of the
             // final phase.
@@ -823,19 +851,17 @@ impl<A: Aggregate> TrialRunner<A> {
                 .then(|| interactions - 1)
                 .or_else(|| all_terminated.then_some(0)),
             interactions_processed: interactions,
-            transmissions: transmissions as usize,
+            transmissions,
             ignored_decisions: ignored,
-            data_conserved,
+            remaining_owners: stats.remaining_owners,
             completion: if data_conserved {
                 Completion::Aggregated
             } else {
                 Completion::Starved
             },
             faults: FaultTally::default(),
-            cost: None,
-            aggregate,
-            verdict: None,
-        }
+        };
+        TrialResult::new(spec, stats, data_conserved, None, aggregate)
     }
 
     /// One phase of a hierarchical trial: a complete fault-free streamed
@@ -937,20 +963,7 @@ where
     let aggregate = state
         .data_of(stats.sink)
         .and_then(|data| family.summary(data));
-    TrialResult {
-        algorithm: spec.label().to_string(),
-        n: stats.node_count,
-        termination_time: stats.termination_time,
-        interactions_processed: stats.interactions_processed,
-        transmissions: stats.transmissions as usize,
-        ignored_decisions: stats.ignored_decisions,
-        data_conserved,
-        completion: stats.completion,
-        faults: stats.faults,
-        cost,
-        aggregate,
-        verdict: None,
-    }
+    TrialResult::new(spec, stats, data_conserved, cost, aggregate)
 }
 
 /// Packages one retired lane's counters into a [`TrialResult`].
@@ -962,24 +975,22 @@ where
 /// is `Aggregated` or `Starved`, never `AggregatedSurvivors`.
 fn finish_lane(spec: AlgorithmSpec, stats: LaneRunStats) -> TrialResult {
     let terminated = stats.terminated();
-    TrialResult {
-        algorithm: spec.label().to_string(),
-        n: stats.node_count,
+    let run = RunStats {
+        node_count: stats.node_count,
+        sink: stats.sink,
         termination_time: stats.termination_time,
         interactions_processed: stats.interactions_processed,
-        transmissions: stats.transmissions as usize,
+        transmissions: stats.transmissions,
         ignored_decisions: 0,
-        data_conserved: terminated,
+        remaining_owners: stats.remaining_owners(),
         completion: if terminated {
             Completion::Aggregated
         } else {
             Completion::Starved
         },
         faults: FaultTally::default(),
-        cost: None,
-        aggregate: None,
-        verdict: None,
-    }
+    };
+    TrialResult::new(spec, run, terminated, None, None)
 }
 
 /// Runs `spec` over a concrete, pre-materialised sequence with fresh

@@ -1,16 +1,14 @@
 //! Uniform random contacts — the paper's randomized adversary as a workload.
 
-use doda_core::sequence::AdversaryView;
-use doda_core::{Interaction, InteractionSource, Time};
-use doda_graph::NodeId;
-use doda_stats::rng::{seeded_rng, DodaRng};
-use rand::{Rng, RngCore};
+use doda_adversary::RandomizedAdversary;
+use doda_core::InteractionSource;
 
 use crate::Workload;
 
 /// Uniformly random pairwise contacts over `n` nodes: every pair occurs
 /// with probability `2 / (n(n−1))` at every time step, exactly the
-/// randomized adversary of Section 4.
+/// randomized adversary of Section 4, whose source this workload hands
+/// out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UniformWorkload {
     n: usize,
@@ -38,71 +36,68 @@ impl Workload for UniformWorkload {
     }
 
     fn source(&self, seed: u64) -> Box<dyn InteractionSource + Send> {
-        Box::new(UniformSource {
-            n: self.n,
-            rng: seeded_rng(seed),
-        })
-    }
-}
-
-/// Streaming source behind [`UniformWorkload`]: one uniform pair per step.
-#[derive(Debug, Clone)]
-pub struct UniformSource {
-    n: usize,
-    rng: DodaRng,
-}
-
-impl InteractionSource for UniformSource {
-    // The stream never reads the view: the lane engine may pull it in
-    // devirtualised batches.
-    fn is_oblivious(&self) -> bool {
-        true
-    }
-
-    fn node_count(&self) -> usize {
-        self.n
-    }
-
-    fn next_interaction(&mut self, _t: Time, _view: &AdversaryView<'_>) -> Option<Interaction> {
-        let a = self.rng.gen_range(0..self.n);
-        let mut b = self.rng.gen_range(0..self.n - 1);
-        if b >= a {
-            b += 1;
-        }
-        Some(Interaction::new(NodeId(a), NodeId(b)))
-    }
-
-    // Hand-batched fast path for the lane engine. Draws the exact same RNG
-    // stream and applies the exact same pair mapping as `next_interaction`,
-    // but sidesteps the costs that only matter at lane throughput: the
-    // sized `extend` reserves once instead of growth-checking every push,
-    // and sorting the endpoints before `Interaction::new` turns its
-    // normalisation branch (50/50 on random pairs, so mispredicted half
-    // the time) into two branch-free min/max moves plus an always-taken
-    // compare. `tests/lane_equivalence.rs` pins the per-step/batched match.
-    fn next_interaction_batch(
-        &mut self,
-        _t0: Time,
-        _view: &AdversaryView<'_>,
-        out: &mut Vec<Interaction>,
-        max: usize,
-    ) {
-        let n = self.n as u64;
-        let rng = &mut self.rng;
-        out.extend((0..max).map(|_| {
-            let a = rng.next_u64() % n;
-            let raw = rng.next_u64() % (n - 1);
-            let b = raw + u64::from(raw >= a);
-            let lo = a.min(b) as usize;
-            let hi = a.max(b) as usize;
-            Interaction::new(NodeId(lo), NodeId(hi))
-        }));
+        Box::new(RandomizedAdversary::new(self.n, seed))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use doda_core::sequence::AdversaryView;
+    use doda_core::Interaction;
+    use doda_graph::NodeId;
+    use doda_stats::rng::seeded_rng;
+    use rand::Rng;
+
+    #[test]
+    fn every_pull_path_draws_one_stream() {
+        const LEN: usize = 3_000;
+        for n in [2, 3, 64, 255, 256, 257, 512, 1000] {
+            for seed in [0, 7, 8_675_309] {
+                let owns = vec![true; n];
+                let view = AdversaryView {
+                    owns_data: &owns,
+                    sink: NodeId(0),
+                };
+                let mut source = UniformWorkload::new(n).source(seed);
+                let per_step: Vec<Interaction> = (0..LEN as u64)
+                    .map(|t| source.next_interaction(t, &view).unwrap())
+                    .collect();
+
+                // Ragged batches, so pulls start mid-refill.
+                let mut source = UniformWorkload::new(n).source(seed);
+                let mut batched = Vec::new();
+                for max in [1, 7, 64, 255, 1000].into_iter().cycle() {
+                    let want = max.min(LEN - batched.len());
+                    source.next_interaction_batch(batched.len() as u64, &view, &mut batched, want);
+                    if batched.len() == LEN {
+                        break;
+                    }
+                }
+
+                let mut adversary = RandomizedAdversary::new(n, seed);
+                let direct: Vec<Interaction> = (0..LEN).map(|_| adversary.draw()).collect();
+
+                // The division-based mapping every recorded table was drawn
+                // with.
+                let mut rng = seeded_rng(seed);
+                let reference: Vec<Interaction> = (0..LEN)
+                    .map(|_| {
+                        let a = rng.gen_range(0..n);
+                        let mut b = rng.gen_range(0..n - 1);
+                        if b >= a {
+                            b += 1;
+                        }
+                        Interaction::new(NodeId(a), NodeId(b))
+                    })
+                    .collect();
+
+                assert_eq!(per_step, reference, "per-step, n = {n}, seed {seed}");
+                assert_eq!(batched, reference, "batched, n = {n}, seed {seed}");
+                assert_eq!(direct, reference, "adversary, n = {n}, seed {seed}");
+            }
+        }
+    }
 
     #[test]
     fn generates_requested_length_and_valid_pairs() {
