@@ -112,18 +112,21 @@ mod tests {
             } else {
                 &mut waiting
             };
+            let mut rounds = FlattenedRounds::new(RoundIsolator::new(n));
             let stats = engine
-                .run_rounds(
+                .run(
                     algorithm,
-                    &mut RoundIsolator::new(n),
+                    &mut rounds,
                     NodeId(0),
                     IdSet::singleton,
                     EngineConfig::sweep(20_000),
                     &mut DiscardTransmissions,
                 )
                 .unwrap();
-            assert!(!stats.run.terminated());
-            assert_eq!(stats.run.interactions_processed, 20_000);
+            assert!(!stats.terminated());
+            assert_eq!(stats.interactions_processed, 20_000);
+            // Every round matches the (n − 1)/2 = 5 non-sink pairs.
+            assert_eq!(rounds.rounds_pulled(), 20_000 / 5);
             // The sink never receives anything.
             assert_eq!(engine.state().data_of(NodeId(0)).unwrap().len(), 1);
         }

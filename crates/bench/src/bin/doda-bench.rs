@@ -5,7 +5,7 @@
 //! perf-trajectory artifact CI uploads on every push and PRs extend over
 //! time. Also validates existing artifacts, measures the lane tier's
 //! speedup over the scalar reference, and guards the streaming path's
-//! `O(n)`-memory claim with a long-horizon run.
+//! `O(n)`-memory claim with long-horizon runs.
 //!
 //! ```text
 //! doda-bench --baseline              # full grid  -> BENCH_baseline.json
@@ -16,9 +16,8 @@
 //!                                    # perf-regression gate (CI)
 //! doda-bench --compare-runners       # lane tier vs scalar tier speedup
 //! doda-bench --lane-guard            # enforce >= 1.5x lane speedup (CI)
-//! doda-bench --stream-guard          # 10^7-interaction streamed sweeps
+//! doda-bench --stream-guard          # 10^7-interaction streamed sweeps, round ones too
 //! doda-bench --fault-guard           # 10^6-interaction faulted sweeps
-//! doda-bench --round-guard           # 10^6-interaction round sweeps
 //! doda-bench --service-guard         # 1000 sessions over the loopback wire
 //! doda-bench --scale-guard           # O(n) memory + throughput at n = 10^6
 //! doda-bench --algebra-guard         # sketch aggregates: less memory, bounded error
@@ -109,7 +108,6 @@ struct Args {
     lane_guard: bool,
     stream_guard: bool,
     fault_guard: bool,
-    round_guard: bool,
     service_guard: bool,
     scale_guard: bool,
     algebra_guard: bool,
@@ -132,7 +130,6 @@ fn parse_args() -> Result<Args, String> {
         lane_guard: false,
         stream_guard: false,
         fault_guard: false,
-        round_guard: false,
         service_guard: false,
         scale_guard: false,
         algebra_guard: false,
@@ -177,7 +174,6 @@ fn parse_args() -> Result<Args, String> {
             "--lane-guard" => args.lane_guard = true,
             "--stream-guard" => args.stream_guard = true,
             "--fault-guard" => args.fault_guard = true,
-            "--round-guard" => args.round_guard = true,
             "--service-guard" => args.service_guard = true,
             "--scale-guard" => args.scale_guard = true,
             "--algebra-guard" => args.algebra_guard = true,
@@ -191,7 +187,7 @@ fn parse_args() -> Result<Args, String> {
                     "doda-bench [--smoke | --baseline] [--out-dir DIR] \
                      | --validate FILE... | --compare RUN BASELINE [--tolerance PCT] \
                      | --compare-runners | [--out-dir DIR] --lane-guard | --stream-guard \
-                     | --fault-guard | --round-guard | --service-guard | --scale-guard \
+                     | --fault-guard | --service-guard | --scale-guard \
                      | --algebra-guard | --byzantine-guard | --guard-summary DIR"
                 );
                 std::process::exit(0);
@@ -208,7 +204,6 @@ fn parse_args() -> Result<Args, String> {
         + usize::from(args.lane_guard)
         + usize::from(args.stream_guard)
         + usize::from(args.fault_guard)
-        + usize::from(args.round_guard)
         + usize::from(args.service_guard)
         + usize::from(args.scale_guard)
         + usize::from(args.algebra_guard)
@@ -217,7 +212,7 @@ fn parse_args() -> Result<Args, String> {
     if modes > 1 {
         return Err(
             "--smoke/--baseline, --validate, --compare, --compare-runners, --lane-guard, \
-             --stream-guard, --fault-guard, --round-guard, --service-guard, --scale-guard, \
+             --stream-guard, --fault-guard, --service-guard, --scale-guard, \
              --algebra-guard, --byzantine-guard and --guard-summary are mutually exclusive"
                 .to_string(),
         );
@@ -445,6 +440,17 @@ fn lane_guard() -> Result<String, String> {
 /// 2. `Gathering` vs the uniform scenario at the same horizon: terminates
 ///    after ~n² interactions without the horizon-sized buffer fill the
 ///    materialised path would have paid up front.
+///
+/// Round scenarios run the same streamed path over their flattened
+/// matchings, so two round runs at the same `n` join them:
+///
+/// 3. `Waiting` vs the sink-unmatched round trap at a 10^6-interaction
+///    budget: every round is a 63-pair matching that never touches the
+///    sink, so ~16k rounds stream through without terminating — and
+///    without any horizon-sized buffer;
+/// 4. `Gathering` vs random matchings: every trial must terminate (a
+///    near-perfect random matching reaches the sink fast) with data
+///    conserved.
 fn stream_guard() -> Result<String, String> {
     const HORIZON: usize = 10_000_000;
     const N: usize = 128;
@@ -492,11 +498,61 @@ fn stream_guard() -> Result<String, String> {
          after {} interactions in {gathered_secs:.2} s — no horizon-sized buffer allocated",
         gathered.interactions_processed,
     );
+
+    const ROUND_HORIZON: usize = 1_000_000;
+    let t2 = Instant::now();
+    let trapped = Sweep::scenario(AlgorithmSpec::Waiting, Scenario::RoundIsolator)
+        .config(&BatchConfig {
+            horizon: Some(ROUND_HORIZON),
+            ..config
+        })
+        .run();
+    let trapped_secs = t2.elapsed().as_secs_f64();
+    let trapped = &trapped[0];
+    if trapped.terminated() || trapped.interactions_processed != ROUND_HORIZON as u64 {
+        return Err(format!(
+            "the round trap should process exactly {ROUND_HORIZON} interactions without \
+             terminating, got {} (terminated: {})",
+            trapped.interactions_processed,
+            trapped.terminated()
+        ));
+    }
+    let trapped_rounds = trapped.interactions_processed / ((N as u64 - 1) / 2);
+    println!(
+        "stream-guard: Waiting vs round-isolator, n = {N}, budget = {ROUND_HORIZON}: \
+         processed {} matched interactions (~{trapped_rounds} rounds) in {trapped_secs:.2} s \
+         ({:.0} i/s), O(n) memory",
+        trapped.interactions_processed,
+        trapped.interactions_processed as f64 / trapped_secs.max(1e-9),
+    );
+
+    let t3 = Instant::now();
+    let matched = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::RandomMatching)
+        .config(&BatchConfig {
+            trials: 8,
+            horizon: None,
+            ..config
+        })
+        .run();
+    let matched_secs = t3.elapsed().as_secs_f64();
+    if !matched.iter().all(|r| r.terminated() && r.data_conserved) {
+        return Err(
+            "every random-matching Gathering trial must terminate with data conserved".to_string(),
+        );
+    }
+    println!(
+        "stream-guard: Gathering vs random-matching, n = {N}, {} trials: all terminated \
+         and conserved data in {matched_secs:.2} s",
+        matched.len(),
+    );
     Ok(format!(
         "two 10^7-horizon streamed runs at n = {N}, O(n) memory: starved run {:.0} i/s, \
-         Gathering terminated after {} interactions",
+         Gathering terminated after {} interactions; ~{trapped_rounds} trapped rounds \
+         streamed without termination, {} random-matching trials terminated with data \
+         conserved",
         starved.interactions_processed as f64 / starved_secs.max(1e-9),
         gathered.interactions_processed,
+        matched.len(),
     ))
 }
 
@@ -582,81 +638,6 @@ fn fault_guard() -> Result<String, String> {
         "faulted 10^6-step horizon streamed with {} losses, O(n) memory; {survivors} \
          survivor-only completions and {crashes} crashes over {} crash trials, data conserved",
         starved.faults.lost_interactions,
-        trials.len(),
-    ))
-}
-
-/// Guards the round path's `O(n)`-memory and batched-application claims
-/// with long-horizon round sweeps at `n = 128`:
-///
-/// 1. `Waiting` vs the sink-unmatched round trap at a 10^6-interaction
-///    budget: every round is a 63-pair matching that never touches the
-///    sink, so the engine genuinely batches ~16k rounds through the
-///    native round path without terminating — and without any
-///    horizon-sized buffer;
-/// 2. `Gathering` vs random matchings at the same `n`: every trial must
-///    terminate (a near-perfect random matching reaches the sink fast)
-///    with data conserved.
-fn round_guard() -> Result<String, String> {
-    const HORIZON: usize = 1_000_000;
-    const N: usize = 128;
-
-    let config = BatchConfig {
-        n: N,
-        trials: 1,
-        horizon: Some(HORIZON),
-        seed: 0xD0DA,
-        parallel: false,
-    };
-    let t0 = Instant::now();
-    let starved = Sweep::scenario(AlgorithmSpec::Waiting, Scenario::RoundIsolator)
-        .config(&config)
-        .run();
-    let starved_secs = t0.elapsed().as_secs_f64();
-    let starved = &starved[0];
-    if starved.terminated() || starved.interactions_processed != HORIZON as u64 {
-        return Err(format!(
-            "the round trap should process exactly {HORIZON} interactions without \
-             terminating, got {} (terminated: {})",
-            starved.interactions_processed,
-            starved.terminated()
-        ));
-    }
-    println!(
-        "round-guard: Waiting vs round-isolator, n = {N}, budget = {HORIZON}: \
-         processed {} matched interactions (~{} rounds) in {starved_secs:.2} s \
-         ({:.0} i/s), O(n) memory",
-        starved.interactions_processed,
-        starved.interactions_processed / ((N as u64 - 1) / 2),
-        starved.interactions_processed as f64 / starved_secs.max(1e-9),
-    );
-
-    let config = BatchConfig {
-        n: N,
-        trials: 8,
-        horizon: None,
-        seed: 0xD0DA,
-        parallel: false,
-    };
-    let t1 = Instant::now();
-    let trials = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::RandomMatching)
-        .config(&config)
-        .run();
-    let gather_secs = t1.elapsed().as_secs_f64();
-    if !trials.iter().all(|r| r.terminated() && r.data_conserved) {
-        return Err(
-            "every random-matching Gathering trial must terminate with data conserved".to_string(),
-        );
-    }
-    println!(
-        "round-guard: Gathering vs random-matching, n = {N}, {} trials: all terminated \
-         and conserved data in {gather_secs:.2} s",
-        trials.len(),
-    );
-    Ok(format!(
-        "~{} rounds batched through the native round path without termination, O(n) \
-         memory; {} random-matching trials terminated with data conserved",
-        starved.interactions_processed / ((N as u64 - 1) / 2),
         trials.len(),
     ))
 }
@@ -1331,11 +1312,10 @@ fn main() -> ExitCode {
         };
     }
 
-    let guards: [(&str, bool, GuardFn); 8] = [
+    let guards: [(&str, bool, GuardFn); 7] = [
         ("lane", args.lane_guard, lane_guard),
         ("stream", args.stream_guard, stream_guard),
         ("fault", args.fault_guard, fault_guard),
-        ("round", args.round_guard, round_guard),
         ("service", args.service_guard, service_guard),
         ("scale", args.scale_guard, scale_guard),
         ("algebra", args.algebra_guard, algebra_guard),

@@ -7,10 +7,10 @@
 //! serialises to `BENCH_<grid>.json`. Each cell records its execution
 //! `mode` — the tier [`doda_sim::ExecutionTier::Auto`] resolved for it:
 //! `"lanes"` for knowledge-free fault-free pairwise cells (up to 64 trials
-//! stepped in lockstep through bit-lane state), `"rounds"` for round
-//! scenarios (one matching applied per synchronous round), `"streamed"`
-//! for the remaining knowledge-free cells (the engine pulls interactions
-//! straight from the source, `O(n)` memory at any horizon) and
+//! stepped in lockstep through bit-lane state), `"streamed"` for the
+//! remaining knowledge-free cells, round scenarios included (the engine
+//! pulls interactions straight from the source, `O(n)` memory at any
+//! horizon; a round scenario's matchings are flattened one per step) and
 //! `"materialized"` for algorithms whose oracles force sequence
 //! generation. Every PR extends the perf trajectory by re-running a grid
 //! and comparing the emitted file against the committed baseline; CI runs
@@ -49,8 +49,10 @@ use crate::json::{pretty, Json};
 /// column (the scenario's Byzantine plan label, `"none"` when honest) —
 /// byzantine cells run the audited streamed path, so the lane, rounds
 /// and hierarchical tiers are byzantine-free by contract (validation
-/// rejects cells claiming otherwise).
-pub const SCHEMA_VERSION: u64 = 7;
+/// rejects cells claiming otherwise); 8 = `"mode"` no longer admits
+/// `"rounds"`: a round scenario is an interaction source, not a tier, and
+/// its cells run (and report) `"streamed"`.
+pub const SCHEMA_VERSION: u64 = 8;
 
 /// A pinned perf grid: the cells plus the execution parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -234,11 +236,11 @@ pub struct CellResult {
     pub fault_profile: String,
     /// The Byzantine plan label of the cell's scenario (`"none"` when
     /// every node is honest). Byzantine cells run the audited streamed
-    /// path and never the lane, rounds or hierarchical tiers.
+    /// path and never the lane or hierarchical tiers.
     pub byzantine_profile: String,
     /// The execution tier the sweep resolved for the cell: `"lanes"`
-    /// (lockstep bit-lane batches), `"rounds"` (one matching per round),
-    /// `"streamed"` (scalar pull loop, `O(n)` memory), `"materialized"`
+    /// (lockstep bit-lane batches), `"streamed"` (scalar pull loop, `O(n)`
+    /// memory; round scenarios run here), `"materialized"`
     /// (oracle construction forced sequence generation) or
     /// `"hierarchical"` (clustered two-phase aggregation, pinned by a
     /// [`ScaleCell`] — never auto-selected).
@@ -614,18 +616,10 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
                 .ok_or_else(|| format!("{}: missing string field: {field}", who()))?;
         }
         let mode = cell.get("mode").and_then(Json::as_str).expect("checked");
-        if ![
-            "streamed",
-            "materialized",
-            "lanes",
-            "rounds",
-            "hierarchical",
-        ]
-        .contains(&mode)
-        {
+        if !["streamed", "materialized", "lanes", "hierarchical"].contains(&mode) {
             return Err(format!(
-                "{}: mode '{mode}' must be 'streamed', 'materialized', 'lanes', 'rounds' \
-                 or 'hierarchical'",
+                "{}: mode '{mode}' must be 'streamed', 'materialized', 'lanes' or \
+                 'hierarchical'",
                 who()
             ));
         }
@@ -644,18 +638,12 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
             .get("byzantine_profile")
             .and_then(Json::as_str)
             .expect("checked");
-        // The lane tier is fault-free and pairwise by contract; the round
-        // tier only exists for round scenarios. A cell claiming otherwise
-        // was not produced by the sweep's tier resolution.
+        // Auto sends only fault-free pairwise cells to the lane tier. A
+        // cell claiming otherwise was not produced by the sweep's tier
+        // resolution.
         if mode == "lanes" && (fault_label != "none" || model != "pairwise") {
             return Err(format!(
                 "{}: a lane cell must be fault-free and pairwise",
-                who()
-            ));
-        }
-        if mode == "rounds" && model != "rounds" {
-            return Err(format!(
-                "{}: a rounds-mode cell must carry the rounds model",
                 who()
             ));
         }
@@ -671,7 +659,7 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
         // Byzantine plans run on the audited scalar paths only: a cell
         // claiming a fast tier *and* a Byzantine plan was not produced by
         // the sweep's tier resolution.
-        if byzantine_label != "none" && ["lanes", "rounds", "hierarchical"].contains(&mode) {
+        if byzantine_label != "none" && ["lanes", "hierarchical"].contains(&mode) {
             return Err(format!(
                 "{}: a byzantine cell cannot run on the {mode} tier (honest by contract)",
                 who()
@@ -754,16 +742,14 @@ mod tests {
         validate_report(&doc).expect("emitted JSON passes the schema check");
         // The mode column names the resolved execution tier: fault-free
         // pairwise cells of the lane-kernel algorithms run on lanes, round
-        // scenarios on the native round path, faulted cells fall back to
-        // the scalar streamed reference, and the pinned scale cell reports
-        // the hierarchical tier it requested.
+        // scenarios and faulted cells run the scalar streamed path, and
+        // the pinned scale cell reports the hierarchical tier it
+        // requested.
         for cell in &report.results {
             let expected = if cell.n == 2_048 {
                 "hierarchical"
-            } else if cell.fault_profile != "none" {
+            } else if cell.fault_profile != "none" || cell.model == "rounds" {
                 "streamed"
-            } else if cell.model == "rounds" {
-                "rounds"
             } else {
                 "lanes"
             };
@@ -881,9 +867,9 @@ mod tests {
         validate_report(&doc).unwrap();
 
         for (breaker, expected) in [
-            (r#"{"schema_version": 7}"#, "missing string field: scenario"),
+            (r#"{"schema_version": 8}"#, "missing string field: scenario"),
             (r#"{"schema_version": 9}"#, "unsupported schema_version"),
-            (r#"{"schema_version": 6}"#, "unsupported schema_version"),
+            (r#"{"schema_version": 7}"#, "unsupported schema_version"),
             (r#"{}"#, "missing numeric field: schema_version"),
         ] {
             let err = validate_report(&Json::parse(breaker).unwrap()).unwrap_err();
@@ -906,7 +892,7 @@ mod tests {
         assert_ne!(bad_mode, good, "fixture must contain a lane cell");
         let err = validate_report(&Json::parse(&bad_mode).unwrap()).unwrap_err();
         assert!(
-            err.contains("must be 'streamed', 'materialized', 'lanes', 'rounds' or 'hierarchical'"),
+            err.contains("must be 'streamed', 'materialized', 'lanes' or 'hierarchical'"),
             "{err}"
         );
         // A cell at a node count the envelope never declared is rejected
@@ -935,10 +921,10 @@ mod tests {
         assert_ne!(faulted_lane, good, "fixture must contain the field");
         let err = validate_report(&Json::parse(&faulted_lane).unwrap()).unwrap_err();
         assert!(err.contains("lane cell must be fault-free"), "{err}");
-        // A rounds-mode cell over a pairwise scenario is equally impossible.
-        let pairwise_rounds = good.replace("\"lanes\"", "\"rounds\"");
-        let err = validate_report(&Json::parse(&pairwise_rounds).unwrap()).unwrap_err();
-        assert!(err.contains("rounds-mode cell"), "{err}");
+        // Schema v8 has no rounds tier: a cell claiming it is rejected.
+        let rounds_mode = good.replace("\"lanes\"", "\"rounds\"");
+        let err = validate_report(&Json::parse(&rounds_mode).unwrap()).unwrap_err();
+        assert!(err.contains("mode 'rounds' must be"), "{err}");
         // A completion split that does not add up is rejected. The tiny
         // grid completes every trial, so "completed": 2 pairs with
         // "aggregated": 2; corrupting the latter breaks the identity.

@@ -21,12 +21,14 @@
 //!
 //! # One event loop, two data planes
 //!
-//! Every execution — run to completion, sliced, audited, or over rounds —
-//! steps through one private loop: pull one event from the source, apply
-//! a fault event or present the interaction to the algorithm, apply at
-//! most one transmission. [`Engine::run`] and [`Engine::step_for`] drive
-//! it directly; [`Engine::run_rounds`] drives it over the flattened round
-//! stream ([`crate::round::FlattenedRounds`]).
+//! Every execution — run to completion, sliced or audited — steps through
+//! one private loop: pull one event from the source, apply a fault event
+//! or present the interaction to the algorithm, apply at most one
+//! transmission. [`Engine::run`] and [`Engine::step_for`] drive it
+//! directly. Synchronous rounds are a source, not an entry point: a
+//! [`crate::round::FlattenedRounds`] plays each round's matching one
+//! interaction per step through the same loop (see the [`crate::round`]
+//! module docs).
 //!
 //! What a transmission does to the payload is the loop's only variation
 //! point, a private *data plane*:
@@ -49,7 +51,6 @@ use crate::error::{EngineError, FaultError, TransmissionError};
 use crate::fault::CrashPolicy;
 use crate::interaction::{Interaction, Time};
 use crate::outcome::{Completion, ExecutionOutcome, FaultTally, Transmission};
-use crate::round::{FlattenedRounds, RoundSource};
 use crate::sequence::{AdversaryView, InteractionSource, StepEvent};
 use crate::state::NetworkState;
 
@@ -319,18 +320,6 @@ pub struct Engine<A> {
     /// as non-owners in the adversary view and must never appear in a
     /// presented interaction.
     live: Vec<bool>,
-}
-
-/// The counters produced by one [`Engine::run_rounds`] execution: the
-/// shared pairwise counters plus the round clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoundRunStats {
-    /// The interaction-level counters, identical in meaning to the
-    /// pairwise path's ([`RunStats::interactions_processed`] counts the
-    /// individual interactions of every applied matching).
-    pub run: RunStats,
-    /// Number of rounds pulled from the source, including empty ones.
-    pub rounds_processed: u64,
 }
 
 impl<A: Aggregate> Default for Engine<A> {
@@ -707,77 +696,6 @@ impl<A: Aggregate> Engine<A> {
         self.owners = checkpoint.owners;
         self.live.clone_from(&checkpoint.live);
         checkpoint.progress
-    }
-
-    /// Runs `algorithm` over the synchronous rounds produced by `rounds`,
-    /// reusing this engine's scratch. The rounds are played through
-    /// [`FlattenedRounds`], which allocates its round matching once per
-    /// run and then reuses it for every round.
-    ///
-    /// Each round, the source observes the ownership view *as of round
-    /// start* and commits a whole matching; the engine then applies the
-    /// round's interactions one per step through the same event loop as
-    /// [`Engine::run`]. Because a matching's edges are vertex-disjoint,
-    /// no interaction of a round can change the state another one reads —
-    /// applying them in order *is* the synchronous semantics. The
-    /// interaction clock ticks one step per interaction, so
-    /// [`RunStats::interactions_processed`] and `config.max_interactions`
-    /// mean exactly what they mean on the pairwise path; a budget that
-    /// runs out mid-round cuts the round, and termination (the sink
-    /// becoming sole owner) ends the round immediately.
-    ///
-    /// **Singleton anchor:** driving a [`crate::round::SingletonRounds`]
-    /// wrapper through this entry point is byte-identical to driving the
-    /// wrapped source through [`Engine::run`] — the property that anchors
-    /// the round model to the paper's, pinned by
-    /// `tests/round_equivalence.rs`.
-    ///
-    /// Empty rounds are legal (an evolving-graph window may carry no edge)
-    /// but bounded: after [`crate::round::MAX_CONSECUTIVE_EMPTY_ROUNDS`]
-    /// consecutive empty rounds the source is treated as exhausted, the
-    /// rule [`FlattenedRounds`] applies.
-    ///
-    /// Fault plans do not plug in here: wrap the *flattened* stream in a
-    /// [`crate::fault::FaultedSource`] and use [`Engine::run`] (see the
-    /// [`crate::round`] module docs).
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`EngineError`] if the algorithm produces a structurally
-    /// invalid decision, as on the pairwise path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sink` is out of range for `rounds.node_count()` or the
-    /// node count is zero (propagated from [`NetworkState::reset`]).
-    pub fn run_rounds<F, R, D, T>(
-        &mut self,
-        algorithm: &mut D,
-        rounds: &mut R,
-        sink: NodeId,
-        initial_data: F,
-        config: EngineConfig,
-        transmissions: &mut T,
-    ) -> Result<RoundRunStats, EngineError>
-    where
-        F: FnMut(NodeId) -> A,
-        R: RoundSource + ?Sized,
-        D: DodaAlgorithm + ?Sized,
-        T: TransmissionSink + ?Sized,
-    {
-        let mut flat = FlattenedRounds::new(rounds);
-        let run = self.run(
-            algorithm,
-            &mut flat,
-            sink,
-            initial_data,
-            config,
-            transmissions,
-        )?;
-        Ok(RoundRunStats {
-            run,
-            rounds_processed: flat.rounds_pulled(),
-        })
     }
 
     /// Applies one presented interaction: dead-endpoint check, algorithm
@@ -1845,7 +1763,7 @@ mod tests {
     #[test]
     fn round_execution_applies_whole_matchings() {
         use crate::data::IdSet;
-        use crate::round::MatchingSequence;
+        use crate::round::{FlattenedRounds, MatchingSequence};
 
         // One round: every pair {0, i} cannot coexist in a matching, so
         // the star takes n/2-ish rounds — here a 6-node schedule where the
@@ -1856,29 +1774,30 @@ mod tests {
         schedule.push_round([(0, 3)]);
         schedule.push_round([(0, 5)]);
         let mut engine: Engine<IdSet> = Engine::new();
+        let mut rounds = FlattenedRounds::new(schedule.stream(false));
         let stats = engine
-            .run_rounds(
+            .run(
                 &mut Gathering::new(),
-                &mut schedule.stream(false),
+                &mut rounds,
                 NodeId(0),
                 IdSet::singleton,
                 EngineConfig::sweep(1_000),
                 &mut DiscardTransmissions,
             )
             .unwrap();
-        assert!(stats.run.terminated());
-        assert_eq!(stats.run.transmissions, 5);
+        assert!(stats.terminated());
+        assert_eq!(stats.transmissions, 5);
         // Gathering drains in 3 rounds (2 + 2 + 1 interactions); the
         // fourth scheduled round is never pulled.
-        assert_eq!(stats.rounds_processed, 3);
-        assert_eq!(stats.run.interactions_processed, 5);
+        assert_eq!(rounds.rounds_pulled(), 3);
+        assert_eq!(stats.interactions_processed, 5);
         assert!(engine.state().data_of(NodeId(0)).unwrap().covers_all(6));
     }
 
     #[test]
     fn singleton_rounds_match_the_pairwise_path() {
         use crate::data::IdSet;
-        use crate::round::SingletonRounds;
+        use crate::round::{FlattenedRounds, SingletonRounds};
 
         let seq = star_sequence(7, 2);
         for budget in [3u64, 9, 1_000] {
@@ -1894,19 +1813,20 @@ mod tests {
                     &mut DiscardTransmissions,
                 )
                 .unwrap();
+            let mut flat = FlattenedRounds::new(SingletonRounds::new(seq.stream(false)));
             let mut rounds: Engine<IdSet> = Engine::new();
             let b = rounds
-                .run_rounds(
+                .run(
                     &mut Waiting::new(),
-                    &mut SingletonRounds::new(seq.stream(false)),
+                    &mut flat,
                     NodeId(0),
                     IdSet::singleton,
                     config,
                     &mut DiscardTransmissions,
                 )
                 .unwrap();
-            assert_eq!(a, b.run, "budget {budget}");
-            assert_eq!(b.rounds_processed, b.run.interactions_processed);
+            assert_eq!(a, b, "budget {budget}");
+            assert_eq!(flat.rounds_pulled(), b.interactions_processed);
             assert_eq!(
                 pairwise.state().ownership_bitmap(),
                 rounds.state().ownership_bitmap()
@@ -1917,30 +1837,31 @@ mod tests {
     #[test]
     fn round_budget_cuts_a_round_mid_matching() {
         use crate::data::Count;
-        use crate::round::MatchingSequence;
+        use crate::round::{FlattenedRounds, MatchingSequence};
 
         let mut schedule = MatchingSequence::new(8);
         schedule.push_round([(1, 2), (3, 4), (5, 6)]);
         let mut engine: Engine<Count> = Engine::new();
+        let mut rounds = FlattenedRounds::new(schedule.stream(true));
         let stats = engine
-            .run_rounds(
+            .run(
                 &mut Waiting::new(),
-                &mut schedule.stream(true),
+                &mut rounds,
                 NodeId(0),
                 |_| Count::unit(),
                 EngineConfig::sweep(5),
                 &mut DiscardTransmissions,
             )
             .unwrap();
-        assert!(!stats.run.terminated());
-        assert_eq!(stats.run.interactions_processed, 5);
-        assert_eq!(stats.rounds_processed, 2);
+        assert!(!stats.terminated());
+        assert_eq!(stats.interactions_processed, 5);
+        assert_eq!(rounds.rounds_pulled(), 2);
     }
 
     #[test]
     fn endless_empty_rounds_exhaust_instead_of_hanging() {
         use crate::data::Count;
-        use crate::round::{Matching, RoundSource, MAX_CONSECUTIVE_EMPTY_ROUNDS};
+        use crate::round::{FlattenedRounds, Matching, RoundSource, MAX_CONSECUTIVE_EMPTY_ROUNDS};
         use crate::sequence::AdversaryView;
 
         struct AlwaysEmpty;
@@ -1958,19 +1879,20 @@ mod tests {
             }
         }
         let mut engine: Engine<Count> = Engine::new();
+        let mut rounds = FlattenedRounds::new(AlwaysEmpty);
         let stats = engine
-            .run_rounds(
+            .run(
                 &mut Waiting::new(),
-                &mut AlwaysEmpty,
+                &mut rounds,
                 NodeId(0),
                 |_| Count::unit(),
                 EngineConfig::sweep(1_000),
                 &mut DiscardTransmissions,
             )
             .unwrap();
-        assert!(!stats.run.terminated());
-        assert_eq!(stats.run.interactions_processed, 0);
-        assert_eq!(stats.rounds_processed, MAX_CONSECUTIVE_EMPTY_ROUNDS);
+        assert!(!stats.terminated());
+        assert_eq!(stats.interactions_processed, 0);
+        assert_eq!(rounds.rounds_pulled(), MAX_CONSECUTIVE_EMPTY_ROUNDS);
     }
 
     #[test]

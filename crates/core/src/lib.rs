@@ -97,12 +97,13 @@
 //! whole matching of disjoint edges is live at once. The [`round`] module
 //! generalises the streaming model to that setting: a
 //! [`round::RoundSource`] yields one validated [`Matching`] per round, and
-//! [`Engine::run_rounds`] fixes each round's matching at round start and
-//! applies its interactions in order (disjointness makes in-order
-//! application *exactly* the synchronous semantics). The interaction clock still ticks once per
-//! matched pair, so budgets and throughput mean the same thing in both
-//! models — and a stream of singleton rounds is byte-identical to the
-//! pairwise path (pinned by `tests/round_equivalence.rs`).
+//! [`FlattenedRounds`] fixes each round's matching at round start and
+//! feeds its interactions to [`Engine::run`] in order (disjointness makes
+//! in-order application *exactly* the synchronous semantics). The
+//! interaction clock still ticks once per matched pair, so budgets and
+//! throughput mean the same thing in both models — and a stream of
+//! singleton rounds is byte-identical to the pairwise path (pinned by
+//! `tests/round_equivalence.rs`).
 //!
 //! ```
 //! use doda_core::prelude::*;
@@ -118,22 +119,23 @@
 //! schedule.push_round([(0, 3)]);
 //!
 //! let mut engine: Engine<IdSet> = Engine::new();
-//! let stats = engine.run_rounds(
+//! let mut rounds = FlattenedRounds::new(schedule.stream(false));
+//! let stats = engine.run(
 //!     &mut Gathering::new(),
-//!     &mut schedule.stream(false),
+//!     &mut rounds,
 //!     NodeId(0),
 //!     IdSet::singleton,
 //!     EngineConfig::sweep(1_000),
 //!     &mut DiscardTransmissions,
 //! )?;
-//! assert!(stats.run.terminated());
-//! assert_eq!(stats.rounds_processed, 3);
-//! assert_eq!(stats.run.interactions_processed, 5); // 2 + 2 + 1
+//! assert!(stats.terminated());
+//! assert_eq!(rounds.rounds_pulled(), 3);
+//! assert_eq!(stats.interactions_processed, 5); // 2 + 2 + 1
 //! assert!(engine.state().data_of(NodeId(0)).unwrap().covers_all(6));
 //!
 //! // Bridges: SingletonRounds lifts any pairwise source to rounds;
 //! // FlattenedRounds plays any round source as a pairwise stream (the
-//! // view knowledge oracles and fault plans consume).
+//! // view the engine, knowledge oracles and fault plans consume).
 //! let flat = InteractionSequence::materialize(
 //!     &mut FlattenedRounds::new(schedule.stream(false)),
 //!     5,
@@ -234,8 +236,8 @@ pub use byzantine::{
     Receipt, ReceiptSink, Tally, Verdict,
 };
 pub use engine::{
-    DiscardTransmissions, Engine, EngineCheckpoint, EngineConfig, RoundRunStats, RunProgress,
-    RunStats, StepOutcome, TransmissionSink,
+    DiscardTransmissions, Engine, EngineCheckpoint, EngineConfig, RunProgress, RunStats,
+    StepOutcome, TransmissionSink,
 };
 pub use fault::{CrashPolicy, FaultConfigError, FaultProfile, FaultedSource};
 pub use hierarchy::ClusterPlan;
@@ -260,8 +262,8 @@ pub mod prelude {
     pub use crate::cost::{self, Cost};
     pub use crate::data::{Aggregate, Count, IdSet, MaxData, MinData, SumData};
     pub use crate::engine::{
-        self, DiscardTransmissions, Engine, EngineCheckpoint, EngineConfig, RoundRunStats,
-        RunProgress, RunStats, StepOutcome, TransmissionSink,
+        self, DiscardTransmissions, Engine, EngineCheckpoint, EngineConfig, RunProgress, RunStats,
+        StepOutcome, TransmissionSink,
     };
     pub use crate::fault::{CrashPolicy, FaultConfigError, FaultProfile, FaultedSource};
     pub use crate::hierarchy::ClusterPlan;

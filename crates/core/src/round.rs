@@ -10,8 +10,10 @@
 //! * a [`RoundSource`] produces one matching per round, observing the same
 //!   adversary view as an [`InteractionSource`] (so round adversaries can
 //!   be adaptive);
-//! * [`crate::engine::Engine::run_rounds`] plays the rounds through
-//!   [`FlattenedRounds`] on the engine's one event loop.
+//! * [`FlattenedRounds`] plays the rounds, one interaction per step,
+//!   through [`crate::engine::Engine::run`] — the engine's one event loop.
+//!   A round model is an interaction source, not a separate way to
+//!   execute.
 //!
 //! Because the edges of a matching are disjoint, no node takes part in two
 //! interactions of the same round, so applying a round's interactions in
@@ -25,8 +27,8 @@
 //! the `tests/round_equivalence.rs` proptest suite:
 //!
 //! * [`SingletonRounds`] lifts any [`InteractionSource`] to a
-//!   [`RoundSource`] of one-interaction rounds — running it through
-//!   [`Engine::run_rounds`] is byte-identical to the pairwise path;
+//!   [`RoundSource`] of one-interaction rounds — running it flattened
+//!   through [`Engine::run`] is byte-identical to the pairwise path;
 //! * [`FlattenedRounds`] plays a [`RoundSource`] as an
 //!   [`InteractionSource`], emitting each round's interactions one per
 //!   step (the matching is fixed when the round starts, preserving the
@@ -37,7 +39,7 @@
 //!   crash / churn / loss compose over round scenarios without the round
 //!   source knowing ("`FaultedSource`-style adaptation").
 //!
-//! [`Engine::run_rounds`]: crate::engine::Engine::run_rounds
+//! [`Engine::run`]: crate::engine::Engine::run
 
 use doda_graph::{Edge, NodeId};
 
@@ -49,16 +51,16 @@ use crate::sequence::{AdversaryView, InteractionSource};
 ///
 /// Empty rounds are legal (an evolving-graph window may contain no edge)
 /// but consume no interaction budget, so an endless run of them would hang
-/// the engine. [`FlattenedRounds`] applies this bound, and
-/// [`crate::engine::Engine::run_rounds`] runs through it, so every
-/// execution path treats an endless run of empty rounds alike.
+/// the engine. [`FlattenedRounds`] applies this bound, and every execution
+/// path plays rounds through it, so all of them treat an endless run of
+/// empty rounds alike.
 pub const MAX_CONSECUTIVE_EMPTY_ROUNDS: u64 = 65_536;
 
 /// A validated matching: a set of pairwise vertex-disjoint interactions
 /// over `n` nodes — the set of edges live in one synchronous round.
 ///
 /// Disjointness is enforced on insertion in `O(1)` per interaction, so a
-/// `Matching` is a matching *by construction* and the round engine never
+/// `Matching` is a matching *by construction* and [`FlattenedRounds`] never
 /// has to re-validate. The buffer is reusable: [`Matching::reset`] clears
 /// it in `O(len)` (not `O(n)`), which keeps the per-round cost of the
 /// engine proportional to the matching size.
@@ -250,9 +252,9 @@ impl<R: RoundSource + ?Sized> RoundSource for Box<R> {
 /// rounds: round `r` contains exactly the interaction the inner source
 /// produces at time `r`.
 ///
-/// Running a singleton-round stream through
-/// [`crate::engine::Engine::run_rounds`] is **byte-identical** to running
-/// the inner source through the pairwise path — the property that anchors
+/// Running a singleton-round stream flattened through
+/// [`crate::engine::Engine::run`] is **byte-identical** to running the
+/// inner source through the pairwise path — the property that anchors
 /// the round model to the paper's (pinned by `tests/round_equivalence.rs`).
 #[derive(Debug, Clone)]
 pub struct SingletonRounds<S> {

@@ -281,6 +281,10 @@ impl Session {
                 scenario.min_nodes()
             )));
         }
+        scenario
+            .base
+            .validate_parameters(n)
+            .map_err(ServiceError::InvalidScenario)?;
         scenario.validate(n)?;
         if let Err(e) = scenario.validate_byzantine() {
             return Err(ServiceError::InvalidScenario(format!(
@@ -300,9 +304,8 @@ impl Session {
         }
         // Sessions resolve through the sweep's tier logic: a spec the
         // sweep would materialise has no incremental form, so no session
-        // can serve it. (The fast tiers — rounds, lanes — are
-        // byte-identical to the scalar stream the session runs, so any
-        // other label is admissible.)
+        // can serve it. (The lane tier is byte-identical to the scalar
+        // stream the session runs, so any other label is admissible.)
         let label = Sweep::scenario(spec, scenario).n(n).path_label();
         if label == "materialized" {
             return Err(ServiceError::UnsupportedSpec {

@@ -617,3 +617,96 @@ fn an_empty_population_over_the_wire_leaves_the_endpoint_serving() {
     }
     assert!(client.poll_result().expect("decode").is_none());
 }
+
+/// Well-formed scenario frames whose parameters the workload constructors
+/// would reject: each must be refused with a typed error, never reach the
+/// constructor's assertion.
+fn out_of_range_scenarios() -> Vec<Scenario> {
+    vec![
+        Scenario::IntervalConnected { t: 0 },
+        Scenario::IntervalConnected { t: 1 },
+        Scenario::Community {
+            communities: 0,
+            p_intra: 0.9,
+        },
+        Scenario::Community {
+            communities: 4,
+            p_intra: 2.0,
+        },
+        Scenario::Zipf { exponent: f64::NAN },
+        Scenario::Zipf { exponent: -1.0 },
+        Scenario::WeightedZipf { exponent: f64::NAN },
+        Scenario::WeightedZipf { exponent: 1e6 },
+    ]
+}
+
+#[test]
+fn out_of_range_scenario_parameters_are_refused_with_a_typed_error() {
+    let mut manager = SessionManager::with_workers(1);
+    let config = SessionConfig::default();
+    for (id, scenario) in (1..).zip(out_of_range_scenarios()) {
+        let refused = manager.open_scenario(
+            SessionId(id),
+            AlgorithmSpec::Gathering,
+            scenario,
+            16,
+            7,
+            &config,
+        );
+        assert!(
+            matches!(refused, Err(ServiceError::InvalidScenario(_))),
+            "{scenario:?} must be a typed error, got {refused:?}"
+        );
+    }
+    assert!(manager.is_empty());
+}
+
+#[test]
+fn out_of_range_scenario_parameters_over_the_wire_leave_the_endpoint_serving() {
+    let (client_end, service_end) = Loopback::pair();
+    let mut client = ServiceClient::new(client_end);
+    let mut service = ServiceEndpoint::new(SessionManager::with_workers(1), service_end);
+    let config = SessionConfig::default();
+
+    for (id, scenario) in (1..).zip(out_of_range_scenarios()) {
+        client
+            .open_scenario(
+                SessionId(id),
+                AlgorithmSpec::Gathering,
+                scenario,
+                16,
+                7,
+                &config,
+            )
+            .expect("send");
+        service
+            .run_until_idle()
+            .expect("an out-of-range scenario must not error the endpoint");
+        match client.poll_result().expect("decode") {
+            Some(WireResult::Error { session, .. }) => assert_eq!(session, SessionId(id)),
+            other => panic!("expected an error frame for {scenario:?}, got {other:?}"),
+        }
+    }
+
+    // The endpoint keeps serving: a healthy session opened afterwards
+    // runs to its result.
+    client
+        .open_scenario(
+            SessionId(100),
+            AlgorithmSpec::Gathering,
+            Scenario::Community {
+                communities: 4,
+                p_intra: 0.9,
+            },
+            16,
+            7,
+            &config,
+        )
+        .expect("send");
+    service.run_until_idle().expect("serve");
+    match client.poll_result().expect("decode") {
+        Some(WireResult::Result { session, .. }) => assert_eq!(session, SessionId(100)),
+        other => panic!("expected session 100's result, got {other:?}"),
+    }
+    assert!(client.poll_result().expect("decode").is_none());
+}

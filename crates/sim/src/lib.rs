@@ -21,7 +21,7 @@
 //! * [`sweep::Sweep`] is the unified batch builder: scenario or workload ×
 //!   algorithm × trials × seed × parallelism × execution tier
 //!   ([`sweep::ExecutionTier`]: auto / scalar / lockstep **lanes** /
-//!   native rounds);
+//!   hierarchical);
 //! * [`runner`] holds the batch shape ([`runner::BatchConfig`]) and its
 //!   summary ([`runner::BatchResult`]);
 //! * [`table`] renders result rows as Markdown/CSV for EXPERIMENTS.md and

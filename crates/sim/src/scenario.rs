@@ -189,6 +189,57 @@ impl Scenario {
         }
     }
 
+    /// Checks that the scenario's generator can be built over `n` nodes:
+    /// `n ≥` [`Scenario::min_nodes`] plus exactly the parameter
+    /// preconditions its constructor asserts. A scenario that passes never
+    /// panics in [`Scenario::source`] or [`Scenario::round_source`], so
+    /// callers fed by user input (the session service) check here first.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated precondition.
+    pub fn validate_parameters(&self, n: usize) -> Result<(), String> {
+        if n < self.min_nodes() {
+            return Err(format!(
+                "scenario '{self}' needs at least {} nodes, got {n}",
+                self.min_nodes()
+            ));
+        }
+        match *self {
+            Scenario::Zipf { exponent } if !(exponent.is_finite() && exponent >= 0.0) => Err(
+                format!("zipf exponent must be finite and non-negative, got {exponent}"),
+            ),
+            Scenario::Community { communities, .. } if !(1..=n / 2).contains(&communities) => {
+                Err(format!(
+                    "community count must be in 1..={} for n = {n}, got {communities}",
+                    n / 2
+                ))
+            }
+            Scenario::Community { p_intra, .. } if !(0.0..=1.0).contains(&p_intra) => Err(format!(
+                "community p_intra must be in [0, 1], got {p_intra}"
+            )),
+            Scenario::WeightedZipf { exponent } => {
+                // Node i weighs 1/(i + 1)^exponent: node 0 weighs 1 and the
+                // weights are monotone in i, so every weight is positive
+                // and finite iff node n − 1's is.
+                let last = 1.0 / (n as f64).powf(exponent);
+                if last.is_finite() && last > 0.0 {
+                    Ok(())
+                } else {
+                    Err(format!(
+                        "weighted-zipf exponent {exponent} gives node {} the weight {last}; \
+                         every weight must be positive and finite",
+                        n - 1
+                    ))
+                }
+            }
+            Scenario::IntervalConnected { t } if t < 2 => Err(format!(
+                "interval-connected stability window must be at least 2 rounds, got {t}"
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// `true` iff `spec` can run against this scenario: everything runs
     /// against the non-adaptive scenarios, while adaptive scenarios only
     /// admit knowledge-free algorithms (their oracles would require
@@ -229,10 +280,11 @@ impl Scenario {
     }
 
     /// A seeded **round** source over `n` nodes, for the round scenarios
-    /// (`None` for the pairwise ones). This is the native view the round
-    /// engine ([`doda_core::Engine::run_rounds`]) consumes; the
-    /// [`source`](Scenario::source) view of the same scenario is the
-    /// flattened equivalent.
+    /// (`None` for the pairwise ones): one matching per round. The
+    /// [`source`](Scenario::source) view of the same scenario is this
+    /// source flattened and boxed; the streamed sweep wraps it in a
+    /// concrete [`FlattenedRounds`] instead, so the engine loop is
+    /// statically dispatched over it.
     ///
     /// # Panics
     ///
@@ -576,6 +628,55 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), registry.len());
         assert_eq!(Scenario::by_name("no-such-scenario"), None);
+    }
+
+    #[test]
+    fn parameter_validation_accepts_exactly_what_the_constructors_build() {
+        let mut candidates = Scenario::registry();
+        for exponent in [
+            0.0,
+            -0.0,
+            2.5,
+            100.0,
+            1_000.0,
+            -1.0,
+            -400.0,
+            f64::NAN,
+            f64::INFINITY,
+        ] {
+            candidates.push(Scenario::Zipf { exponent });
+            candidates.push(Scenario::WeightedZipf { exponent });
+        }
+        for (communities, p_intra) in [
+            (0, 0.9),
+            (1, 0.0),
+            (4, 1.0),
+            (4, 2.0),
+            (4, f64::NAN),
+            (9, 0.5),
+        ] {
+            candidates.push(Scenario::Community {
+                communities,
+                p_intra,
+            });
+        }
+        for t in 0..4 {
+            candidates.push(Scenario::IntervalConnected { t });
+        }
+        for scenario in candidates {
+            for n in [1, 2, 3, 4, 16] {
+                let built = std::panic::catch_unwind(|| {
+                    let _ = scenario.source(n, 7);
+                    let _ = scenario.round_source(n, 7);
+                })
+                .is_ok();
+                assert_eq!(
+                    scenario.validate_parameters(n).is_ok(),
+                    built,
+                    "{scenario:?} at n = {n}"
+                );
+            }
+        }
     }
 
     #[test]

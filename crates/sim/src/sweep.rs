@@ -1,16 +1,8 @@
 //! The unified sweep builder — one entry point for every batch shape.
 //!
-//! Before this module, the sweep surface was split three ways: one
-//! function for workloads, one for the scenario registry, and direct
-//! [`TrialRunner`] calls for anyone needing the round or streamed path
-//! explicitly — with the execution-path choice (streamed vs materialised
-//! vs native rounds) buried inside each function. The lane tier made that
-//! split untenable: a fourth path cannot be wedged into three entry
-//! points.
-//!
-//! [`Sweep`] collapses the surface into one builder over the full cross
-//! product — interaction family (scenario or workload) × algorithm ×
-//! trials × seed × parallelism × [`ExecutionTier`]:
+//! [`Sweep`] is one builder over the full cross product — interaction
+//! family (scenario or workload) × algorithm × trials × seed ×
+//! parallelism × [`ExecutionTier`]:
 //!
 //! ```
 //! use doda_sim::{AlgorithmSpec, Scenario, Sweep};
@@ -29,10 +21,14 @@
 //! | tier | what runs | when [`ExecutionTier::Auto`] picks it |
 //! |------|-----------|---------------------------------------|
 //! | materialised scalar | [`TrialRunner::run_committed_with`]: the horizon materialised into a per-worker scratch sequence, or for `meetTime` specs the source played live with the oracle built on demand | the spec's oracles need the future |
-//! | streamed scalar | [`TrialRunner::run_streamed`], `O(n)` memory | a fault plan is present (faults are a scalar-path feature), or no faster tier applies |
-//! | native rounds | [`TrialRunner::run_rounds`], one matching per round | the scenario is round-based, fault-free, spec knowledge-free |
+//! | streamed scalar | [`TrialRunner::run_streamed`], `O(n)` memory; a round scenario's rounds are played through a statically dispatched [`FlattenedRounds`] | a fault or Byzantine plan is present (both are scalar-path features), the scenario is round-based, or no faster tier applies |
 //! | **lanes** | [`TrialRunner::run_lane_batch`]: up to 64 trials in lockstep through bit-lane state | the spec has a lane kernel ([`AlgorithmSpec::lane_algorithm`]) and the trials are fault-free and pairwise |
 //! | **hierarchical** | [`TrialRunner::run_hierarchical`]: cluster election, intra-cluster aggregation, then an aggregator-only phase | never — opt in with [`Sweep::tier`] |
+//!
+//! A round scenario is an interaction source, not a tier: a round is a
+//! matching of vertex-disjoint edges, so applying its edges one per step
+//! *is* the synchronous semantics, and every tier runs the flattened
+//! stream.
 //!
 //! Every flat tier is byte-identical per trial to the scalar reference on
 //! the same seeds — pinned by `tests/lane_equivalence.rs` and
@@ -51,6 +47,7 @@
 
 use doda_core::byzantine::ByzantineProfile;
 use doda_core::lane::MAX_LANES;
+use doda_core::round::FlattenedRounds;
 use doda_core::{InteractionSequence, InteractionSource};
 use doda_stats::rng::SeedSequence;
 use doda_workloads::Workload;
@@ -76,8 +73,7 @@ pub enum ExecutionTier {
     #[default]
     Auto,
     /// Force the scalar reference path: materialised for knowledge-based
-    /// specs, streamed otherwise — never native rounds, never lanes. Round
-    /// scenarios run their flattened pairwise stream.
+    /// specs, streamed otherwise — never lanes.
     Scalar,
     /// Force the lane tier: knowledge-free, fault-free trials stepped in
     /// lockstep through `[u64]` bit-lane state, up to
@@ -87,14 +83,6 @@ pub enum ExecutionTier {
     /// Sweeps panic if the spec has no lane kernel or a fault plan is
     /// present.
     Lanes,
-    /// Force the native round path: one matching of disjoint interactions
-    /// applied per synchronous round.
-    ///
-    /// Sweeps panic unless the scenario is round-based
-    /// ([`crate::scenario::Scenario::is_round`]), fault-free, and the spec
-    /// is knowledge-free. Workload sweeps (pairwise by construction) panic
-    /// too.
-    Rounds,
     /// Force hierarchical aggregation: a seeded
     /// [`doda_core::hierarchy::ClusterPlan`] election partitions the
     /// non-sink nodes into clusters of [`Sweep::cluster_size`] (default
@@ -137,7 +125,6 @@ enum Path {
     Materialized,
     Streamed,
     Lanes,
-    Rounds,
     Hierarchical,
 }
 
@@ -214,8 +201,8 @@ impl<'a> Sweep<'a> {
         self
     }
 
-    /// Sets the per-trial horizon: the engine budget of streamed / round /
-    /// lane trials and the materialised length of oracle trials. `None`
+    /// Sets the per-trial horizon: the engine budget of streamed and lane
+    /// trials and the materialised length of oracle trials. `None`
     /// (the default) uses the generous `8·n²` of
     /// [`doda_adversary::RandomizedAdversary::default_horizon`].
     pub fn horizon(mut self, horizon: Option<usize>) -> Self {
@@ -295,8 +282,8 @@ impl<'a> Sweep<'a> {
     ///
     /// The audited path is scalar: [`ExecutionTier::Auto`] resolves
     /// byzantine sweeps to the streamed (or materialised) tier, and
-    /// forcing [`ExecutionTier::Lanes`], [`ExecutionTier::Rounds`] or
-    /// [`ExecutionTier::Hierarchical`] panics at [`Sweep::run`].
+    /// forcing [`ExecutionTier::Lanes`] or [`ExecutionTier::Hierarchical`]
+    /// panics at [`Sweep::run`].
     pub fn byzantine(mut self, profile: ByzantineProfile) -> Self {
         self.byzantine = Some(profile);
         self
@@ -313,8 +300,7 @@ impl<'a> Sweep<'a> {
     }
 
     /// The label of the execution path this sweep will actually run —
-    /// `"materialized"`, `"streamed"`, `"rounds"`, `"lanes"` or
-    /// `"hierarchical"` — resolved from the tier, the spec and the
+    /// `"materialized"`, `"streamed"`, `"lanes"` or `"hierarchical"` — resolved from the tier, the spec and the
     /// interaction family exactly as [`Sweep::run`] resolves it.
     /// `doda-bench` stamps this into each grid cell's `mode` column.
     ///
@@ -332,7 +318,6 @@ impl<'a> Sweep<'a> {
         match path {
             Path::Materialized => "materialized",
             Path::Streamed => "streamed",
-            Path::Rounds => "rounds",
             Path::Lanes => "lanes",
             Path::Hierarchical => "hierarchical",
         }
@@ -458,12 +443,16 @@ impl<'a> Sweep<'a> {
             ExecutionTier::Auto => {
                 if self.spec.requires_materialization() {
                     Path::Materialized
-                } else if scenario.faults.is_some() || scenario.byzantine.is_some() {
+                } else if scenario.faults.is_some()
+                    || scenario.byzantine.is_some()
+                    || scenario.is_round()
+                {
                     // Both planes are scalar-path features: faults perturb
                     // the stream, byzantine plans need the audited engine.
+                    // Round scenarios run streamed over a statically
+                    // dispatched `FlattenedRounds`, which beats the lane
+                    // tier's boxed sources on them.
                     Path::Streamed
-                } else if scenario.is_round() {
-                    Path::Rounds
                 } else if self.spec.lane_algorithm().is_some() {
                     Path::Lanes
                 } else {
@@ -496,30 +485,6 @@ impl<'a> Sweep<'a> {
                 );
                 Path::Lanes
             }
-            ExecutionTier::Rounds => {
-                assert!(
-                    scenario.is_round(),
-                    "scenario '{scenario}' is pairwise; the round tier needs a \
-                     round scenario"
-                );
-                assert!(
-                    scenario.faults.is_none(),
-                    "fault plans compose over the flattened round stream (the \
-                     scalar tier), not over the batched round path"
-                );
-                assert!(
-                    scenario.byzantine.is_none(),
-                    "byzantine plans compose over the flattened round stream \
-                     (the audited scalar tier), not over the batched round path"
-                );
-                assert!(
-                    !self.spec.requires_materialization(),
-                    "{} requires {} knowledge and cannot run round-streamed",
-                    self.spec,
-                    self.spec.knowledge()
-                );
-                Path::Rounds
-            }
             ExecutionTier::Hierarchical => {
                 assert!(
                     !self.spec.requires_materialization(),
@@ -545,7 +510,8 @@ impl<'a> Sweep<'a> {
     }
 
     /// Resolves the tier for a workload sweep: workloads are pairwise,
-    /// infinite and fault-free, so only the round tier is off-limits.
+    /// infinite and fault-free at one fixed node count, so only the
+    /// hierarchical tier is off-limits.
     fn resolve_workload_path(&self) -> Path {
         match self.tier {
             ExecutionTier::Auto => {
@@ -579,9 +545,6 @@ impl<'a> Sweep<'a> {
                      a byzantine plan"
                 );
                 Path::Lanes
-            }
-            ExecutionTier::Rounds => {
-                panic!("workloads are pairwise streams; the round tier needs a round scenario")
             }
             ExecutionTier::Hierarchical => {
                 panic!(
@@ -645,35 +608,24 @@ impl<'a> Sweep<'a> {
                         byzantine: scenario.byzantine_injection(trial_seed),
                         ..TrialConfig::default()
                     };
-                    let mut source = scenario.base.source(n, trial_seed);
-                    results.push(runner.run_streamed_with(
-                        spec,
-                        source.as_mut(),
-                        &trial_config,
-                        datum,
-                    ));
-                }
-                results
-            }),
-            Path::Rounds => shard(self.trials, self.parallel, |range| {
-                let mut runner = TrialRunner::new();
-                let mut results = Vec::with_capacity(range.len());
-                let trial_config = TrialConfig {
-                    max_interactions: Some(horizon as u64),
-                    ..TrialConfig::default()
-                };
-                for trial in range {
-                    let trial_seed = seeds.seed(trial as u64);
-                    let mut rounds = scenario
-                        .base
-                        .round_source(n, trial_seed)
-                        .expect("the round path only resolves for round scenarios");
-                    results.push(runner.run_rounds_with(
-                        spec,
-                        rounds.as_mut(),
-                        &trial_config,
-                        datum,
-                    ));
+                    // A round scenario hands its rounds over as a concrete
+                    // `FlattenedRounds`, so the engine loop is monomorphised
+                    // over it instead of paying a virtual call per event.
+                    let result = match scenario.base.round_source(n, trial_seed) {
+                        Some(rounds) => runner.run_streamed_with(
+                            spec,
+                            &mut FlattenedRounds::new(rounds),
+                            &trial_config,
+                            datum,
+                        ),
+                        None => runner.run_streamed_with(
+                            spec,
+                            scenario.base.source(n, trial_seed).as_mut(),
+                            &trial_config,
+                            datum,
+                        ),
+                    };
+                    results.push(result);
                 }
                 results
             }),
@@ -754,7 +706,6 @@ impl<'a> Sweep<'a> {
             Path::Lanes => {
                 self.run_lanes_sharded(horizon, |trial_seed| workload.source(trial_seed))
             }
-            Path::Rounds => unreachable!("resolve_workload_path rejects the round tier"),
             Path::Hierarchical => {
                 unreachable!("resolve_workload_path rejects the hierarchical tier")
             }
@@ -905,26 +856,17 @@ mod tests {
     }
 
     #[test]
-    fn rounds_tier_matches_auto_on_round_scenarios() {
-        let auto = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::RandomMatching)
-            .n(12)
-            .trials(5)
-            .horizon(Some(5_000))
-            .run();
-        let pinned = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::RandomMatching)
-            .n(12)
-            .trials(5)
-            .horizon(Some(5_000))
-            .tier(ExecutionTier::Rounds)
-            .run();
-        let scalar = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::RandomMatching)
-            .n(12)
-            .trials(5)
-            .horizon(Some(5_000))
-            .tier(ExecutionTier::Scalar)
-            .run();
-        assert_eq!(auto, pinned);
-        assert_eq!(auto, scalar);
+    fn round_scenarios_run_streamed_and_match_every_flat_tier() {
+        let base = || {
+            Sweep::scenario(AlgorithmSpec::Gathering, Scenario::RandomMatching)
+                .n(12)
+                .trials(5)
+                .horizon(Some(5_000))
+        };
+        assert_eq!(base().path_label(), "streamed");
+        let auto = base().run();
+        assert_eq!(auto, base().tier(ExecutionTier::Scalar).run());
+        assert_eq!(auto, base().tier(ExecutionTier::Lanes).run());
     }
 
     #[test]
@@ -1012,15 +954,6 @@ mod tests {
         let _ = Sweep::scenario(AlgorithmSpec::OfflineOptimal, Scenario::Uniform)
             .n(10)
             .tier(ExecutionTier::Lanes)
-            .run();
-    }
-
-    #[test]
-    #[should_panic(expected = "needs a round scenario")]
-    fn rounds_tier_rejects_pairwise_scenarios() {
-        let _ = Sweep::scenario(AlgorithmSpec::Gathering, Scenario::Uniform)
-            .n(10)
-            .tier(ExecutionTier::Rounds)
             .run();
     }
 

@@ -30,9 +30,9 @@ pub fn byzantine_free_registry_cases() -> Vec<FaultedScenario> {
 }
 
 /// The registry entries whose base schedule is round-based — plain,
-/// faulted, and Byzantine variants. For the round-equivalence suite:
-/// fault-free entries route through the native round path, faulted and
-/// Byzantine entries through the flattened stream.
+/// faulted, and Byzantine variants. For the round-equivalence suite: every
+/// entry runs its flattened round stream, on the lane tier too when it is
+/// fault-free and honest.
 pub fn round_registry_cases() -> Vec<FaultedScenario> {
     FaultedScenario::registry()
         .into_iter()

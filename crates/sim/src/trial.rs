@@ -20,7 +20,6 @@ use doda_core::fault::{FaultProfile, FaultedSource};
 use doda_core::hierarchy::ClusterPlan;
 use doda_core::lane::{LaneEngine, LaneRunStats};
 use doda_core::outcome::{Completion, FaultTally};
-use doda_core::round::RoundSource;
 use doda_core::{CommittedStream, DodaAlgorithm, InteractionSequence, InteractionSource, Time};
 use doda_graph::NodeId;
 use doda_stats::rng::SeedSequence;
@@ -473,62 +472,6 @@ impl<A: Aggregate> TrialRunner<A> {
         .expect("the provided algorithms never emit structurally invalid decisions");
         (stats, audit.map(|tally| tally.verdict::<A>()))
     }
-
-    /// Runs `spec` over a **round** stream with the given datum family.
-    /// The generic form of [`TrialRunner::run_rounds`], which documents
-    /// the budget semantics and the panic conditions.
-    pub fn run_rounds_with<R, D>(
-        &mut self,
-        spec: AlgorithmSpec,
-        rounds: &mut R,
-        config: &TrialConfig,
-        family: &D,
-    ) -> TrialResult
-    where
-        R: RoundSource + ?Sized,
-        D: DatumFamily<Agg = A>,
-    {
-        assert!(
-            !config.compute_cost,
-            "the paper's cost function needs a materialised sequence; \
-             round trials cannot compute it"
-        );
-        assert!(
-            config.fault.is_none(),
-            "fault plans compose over the flattened round stream \
-             (FaultedSource over FlattenedRounds, via run_streamed), not \
-             over the batched round path"
-        );
-        assert!(
-            config.byzantine.is_none(),
-            "byzantine plans compose over the flattened round stream \
-             (run_audited over FlattenedRounds, via run_streamed), not \
-             over the batched round path"
-        );
-        let sink = config.sink;
-        let max_interactions = config
-            .max_interactions
-            .unwrap_or(EngineConfig::default().max_interactions);
-        let Some(mut algorithm) = spec.instantiate_online() else {
-            panic!(
-                "{spec} requires {} knowledge and cannot run round-streamed; \
-                 materialise the flattened stream and use TrialRunner::run",
-                spec.knowledge()
-            );
-        };
-        let stats = self
-            .engine
-            .run_rounds(
-                algorithm.as_mut(),
-                rounds,
-                sink,
-                |v| family.initial(v),
-                EngineConfig::sweep(max_interactions),
-                &mut DiscardTransmissions,
-            )
-            .expect("the provided algorithms never emit structurally invalid decisions");
-        self.finish_with(spec, family, stats.run, None)
-    }
 }
 
 /// The default exact-origins surface: every method behaves exactly as it
@@ -591,37 +534,6 @@ impl TrialRunner {
         S: InteractionSource + ?Sized,
     {
         self.run_streamed_with(spec, source, config, &ExactOrigins)
-    }
-
-    /// Runs `spec` over a **round** stream: the engine pulls one matching
-    /// of disjoint interactions per synchronous round straight from
-    /// `rounds` ([`doda_core::Engine::run_rounds`]), in `O(n)` memory at
-    /// any horizon.
-    ///
-    /// The budget ([`TrialConfig::max_interactions`]) still counts
-    /// individual interactions — the engine's interaction clock ticks once
-    /// per matched pair — so round trials are measured in the same unit as
-    /// pairwise trials, and a singleton-round stream reproduces the
-    /// pairwise path byte for byte.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec` requires knowledge of the future (materialise the
-    /// flattened stream and use [`TrialRunner::run`]), if
-    /// `config.compute_cost` is set, or if a fault plan is configured —
-    /// faults compose over the *flattened* stream
-    /// (`FaultedSource<FlattenedRounds<R>>` via [`TrialRunner::run_streamed`]),
-    /// not over the batched round path.
-    pub fn run_rounds<R>(
-        &mut self,
-        spec: AlgorithmSpec,
-        rounds: &mut R,
-        config: &TrialConfig,
-    ) -> TrialResult
-    where
-        R: RoundSource + ?Sized,
-    {
-        self.run_rounds_with(spec, rounds, config, &ExactOrigins)
     }
 
     /// Runs one **hierarchical** trial with exact origin sets; the

@@ -1,26 +1,28 @@
 //! Property suite: the round-based execution model is anchored to the
 //! pairwise model, byte for byte.
 //!
-//! Two embeddings are pinned here, for every scenario of the registry ×
-//! knowledge-free algorithm × seed:
+//! A round scenario is an interaction source: [`FlattenedRounds`] plays
+//! each round's matching one interaction per step through the engine's one
+//! event loop. Two properties are pinned here:
 //!
 //! 1. **Singleton anchor** — lifting any pairwise stream to one-interaction
-//!    rounds ([`SingletonRounds`]) and driving it through the engine's
-//!    batched round path produces results identical to the pairwise path
-//!    (same `ExecutionOutcome` counters, same `FaultTally`, same final
-//!    state). The round model strictly generalises the paper's.
-//! 2. **Flattening** — playing a native round scenario through its
-//!    flattened pairwise view ([`FlattenedRounds`], what oracles and fault
-//!    plans consume) produces results identical to the native batched
-//!    round path. The two execution routes of the sweep runner can never
-//!    disagree.
+//!    rounds ([`SingletonRounds`]) and playing it flattened produces
+//!    results identical to the pairwise path (same `ExecutionOutcome`
+//!    counters, same `FaultTally`, same final state), for every registry
+//!    scenario × knowledge-free algorithm × seed. The round model strictly
+//!    generalises the paper's.
+//! 2. **Dispatch** — a round scenario's sweep under
+//!    [`ExecutionTier::Auto`] (the streamed tier over a concrete
+//!    `FlattenedRounds`) equals the forced lane tier (the boxed
+//!    `Scenario::source`) on every trial. How the flattened stream reaches
+//!    the engine never changes a number.
 //!
 //! Plus the sweep-level guarantee: round scenarios (fault-free and
 //! faulted) are serial/parallel byte-identical through
 //! [`Sweep`].
 
 use doda::core::engine;
-use doda::core::round::SingletonRounds;
+use doda::core::round::{FlattenedRounds, SingletonRounds};
 use doda::graph::NodeId;
 use doda::prelude::*;
 use proptest::prelude::*;
@@ -56,9 +58,9 @@ proptest! {
                     scenario.source(n, seed).as_mut(),
                     &trial_config(horizon),
                 );
-                let via_rounds = runner.run_rounds(
+                let via_rounds = runner.run_streamed(
                     spec,
-                    &mut SingletonRounds::new(scenario.source(n, seed)),
+                    &mut FlattenedRounds::new(SingletonRounds::new(scenario.source(n, seed))),
                     &trial_config(horizon),
                 );
                 // TrialResult carries the full outcome surface: counters,
@@ -96,10 +98,11 @@ proptest! {
                 .expect("valid decisions");
 
                 let mut round_engine: Engine<IdSet> = Engine::new();
+                let mut rounds = FlattenedRounds::new(SingletonRounds::new(scenario.source(n, seed)));
                 let stats = round_engine
-                    .run_rounds(
+                    .run(
                         spec.instantiate_online().expect("streamable").as_mut(),
-                        &mut SingletonRounds::new(scenario.source(n, seed)),
+                        &mut rounds,
                         NodeId(0),
                         IdSet::singleton,
                         config,
@@ -107,14 +110,11 @@ proptest! {
                     )
                     .expect("valid decisions");
 
-                prop_assert_eq!(stats.run.termination_time, outcome.termination_time);
-                prop_assert_eq!(
-                    stats.run.interactions_processed,
-                    outcome.interactions_processed
-                );
-                prop_assert_eq!(stats.rounds_processed, outcome.interactions_processed);
-                prop_assert_eq!(stats.run.completion, outcome.completion);
-                prop_assert_eq!(stats.run.faults, outcome.faults);
+                prop_assert_eq!(stats.termination_time, outcome.termination_time);
+                prop_assert_eq!(stats.interactions_processed, outcome.interactions_processed);
+                prop_assert_eq!(rounds.rounds_pulled(), outcome.interactions_processed);
+                prop_assert_eq!(stats.completion, outcome.completion);
+                prop_assert_eq!(stats.faults, outcome.faults);
                 prop_assert_eq!(
                     round_engine.state().data_of(NodeId(0)).cloned(),
                     outcome.sink_data
@@ -127,37 +127,32 @@ proptest! {
         }
     }
 
-    /// Native batched round execution ≡ flattened pairwise execution, for
-    /// every round scenario × knowledge-free algorithm × seed — the
-    /// property that lets the sweep runner route fault-free trials through
-    /// `run_rounds` and everything else through the flattened stream
-    /// without ever changing a number.
+    /// Auto ≡ forced lanes on every round scenario × knowledge-free
+    /// algorithm × seed: Auto runs the streamed tier over a concrete
+    /// `FlattenedRounds` (statically dispatched), the lane tier steps the
+    /// boxed `Scenario::source`. The two hand-offs of the same flattened
+    /// stream must agree on every trial.
     #[test]
-    fn native_rounds_equal_the_flattened_stream(
+    fn auto_round_sweeps_equal_the_lane_tier(
         seed in 0u64..1_000_000,
         n_base in 6usize..16,
     ) {
-        let horizon = 4_000u64;
-        let mut runner = TrialRunner::new();
-        for scenario in Scenario::registry() {
-            let Some(_) = scenario.round_source(scenario.min_nodes(), 0) else {
-                continue;
-            };
+        for scenario in Scenario::registry().into_iter().filter(Scenario::is_round) {
             let n = n_base.max(scenario.min_nodes());
             for spec in STREAMABLE {
-                let mut rounds = scenario
-                    .round_source(n, seed)
-                    .expect("round scenarios expose round sources");
-                let native = runner.run_rounds(spec, rounds.as_mut(), &trial_config(horizon));
-                // Scenario::source of a round scenario IS the flattened view.
-                let flattened = runner.run_streamed(
-                    spec,
-                    scenario.source(n, seed).as_mut(),
-                    &trial_config(horizon),
-                );
+                let sweep = || {
+                    Sweep::scenario(spec, scenario)
+                        .n(n)
+                        .trials(6)
+                        .seed(seed)
+                        .horizon(Some(4_000))
+                };
+                prop_assert_eq!(sweep().path_label(), "streamed");
+                let auto = sweep().run();
+                let lanes = sweep().tier(ExecutionTier::Lanes).run();
                 prop_assert_eq!(
-                    &native,
-                    &flattened,
+                    &auto,
+                    &lanes,
                     "{} diverged on {} (n={}, seed={})",
                     spec,
                     scenario,
@@ -169,7 +164,7 @@ proptest! {
     }
 
     /// Round scenarios sweep serial/parallel byte-identically — fault-free
-    /// (native round path), faulted (flattened fault layer), Byzantine
+    /// (flattened rounds, streamed), faulted (flattened fault layer), Byzantine
     /// (audited flattened stream), and materialising (oracles over the
     /// flattened stream) alike. The cases come from the shared registry
     /// slice, so a new round entry is covered automatically.
